@@ -130,8 +130,7 @@ val simulate_many :
     top of every kernel window), which amortises cancellation to
     nothing while keeping latency one simulation at most.  [f] must
     not retain its [view] (the arena is recycled for the next root)
-    and must be safe to run concurrently when [jobs > 1].  Call
-    {!Unfolding.warm_caches} first if [jobs > 1]. *)
+    and must be safe to run concurrently when [jobs > 1]. *)
 
 val occurrence_times : Unfolding.t -> result -> event:int -> float array
 (** [occurrence_times u r ~event] is the array of [t(e_i)] for

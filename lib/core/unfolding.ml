@@ -1,130 +1,239 @@
 type csr = { starts : int array; neighbors : int array; arc_ids : int array }
 
-type t = {
-  sg : Signal_graph.t;
+(* the instance space: it depends only on the event set, the event
+   classes and the period count — never on the arc table *)
+type layout = {
   k : int; (* number of periods *)
   n_events : int;
   n_instances : int;
   rep_index : int array; (* event id -> dense repetitive index, or -1 *)
   rep_ids : int array; (* dense repetitive index -> event id *)
-  (* the digraph view is lazy: [make] builds it eagerly, but [patch]
-     synthesises the CSR views directly from the edited arc table and
-     leaves the digraph unbuilt — rebuilding 10^4-10^5 cons cells per
-     what-if scenario was the dominant cost of a structural repair *)
-  mutable dag_cache : int Tsg_graph.Digraph.t option;
-  (* compact adjacency and topological order for the hot loops of the
-     timing simulation: the digraph view allocates on every traversal,
-     which dominates the O(b^2 m) algorithm's constant factor *)
-  mutable in_csr : csr option;
-  mutable out_csr : csr option;
-  mutable topo : int array option;
-  mutable topo_pos_cache : int array option;
-  mutable delay_cache : float array option;
 }
 
-let instance_id t ~event ~period =
+(* every view is a plain array computed by [make] (or [patch]) and
+   shared read-only from then on: compact adjacency and a topological
+   order are what keep the O(b^2 m) algorithm's constant factor small *)
+type t = {
+  sg : Signal_graph.t;
+  lay : layout;
+  in_csr : csr;
+  out_csr : csr;
+  topo : int array;
+  topo_pos : int array;
+  delay_table : float array;
+}
+
+let instance_id lay ~event ~period =
   if period = 0 then event
-  else t.n_events + ((period - 1) * Array.length t.rep_ids) + t.rep_index.(event)
+  else lay.n_events + ((period - 1) * Array.length lay.rep_ids) + lay.rep_index.(event)
 
-(* enumerate the (src instance, dst instance) pairs an arc [aid]
-   induces in the unfolding — shared by [make] (which adds them to the
-   dag) and [patch] (which also uses it to diff instance sets).  The
-   pairs depend only on the arc's endpoints, marking and
-   disengageability plus the event classes, never on the rest of the
-   arc table. *)
-let iter_arc_instances t (a : Signal_graph.arc) f =
-  let sg = t.sg in
-  let periods = t.k in
-  let once = a.disengageable || not (Signal_graph.is_repetitive sg a.arc_src) in
+(* The instance pairs an arc induces form one strided run.  A
+   Signal-Graph arc [u -> v] with marking [m] induces [u_(i-m) -> v_i]
+   for the valid [i]; a disengageable arc (or one whose source is
+   non-repetitive) induces only [u_0 -> v_m].  Beyond period 0 an
+   instance id advances by the repetitive count [r] per period, so
+   pair [j] of the run is [(s0, d0)] for [j = 0] and
+   [(sb + j*r, db + j*r)] for [j >= 1]: [arc_run] returns
+   [(n, s0, d0, sb, db)] in closed form, and every consumer walks the
+   run with a plain loop.  Pairs come in period order, which is the
+   generation order the CSR layout is defined by. *)
+let arc_run lay (a : Signal_graph.arc) =
+  let r = Array.length lay.rep_ids in
   let m = if a.marked then 1 else 0 in
-  if once then begin
-    (* single constraint u_0 -> v_m, when the destination instance exists *)
-    let dst_exists =
-      m = 0 || (m < periods && Signal_graph.is_repetitive sg a.arc_dst)
-    in
-    if dst_exists then
-      f (instance_id t ~event:a.arc_src ~period:0) (instance_id t ~event:a.arc_dst ~period:m)
-  end
-  else begin
-    let dst_periods = if Signal_graph.is_repetitive sg a.arc_dst then periods else 1 in
-    for i = m to dst_periods - 1 do
-      f (instance_id t ~event:a.arc_src ~period:(i - m)) (instance_id t ~event:a.arc_dst ~period:i)
-    done
-  end
+  let src_rep = lay.rep_index.(a.arc_src) >= 0 in
+  let dst_rep = lay.rep_index.(a.arc_dst) >= 0 in
+  let n =
+    if a.disengageable || not src_rep then Bool.to_int (m = 0 || (m < lay.k && dst_rep))
+    else max 0 ((if dst_rep then lay.k else 1) - m)
+  in
+  if n = 0 then (0, 0, 0, 0, 0)
+  else
+    ( n,
+      a.arc_src,
+      instance_id lay ~event:a.arc_dst ~period:m,
+      lay.n_events + lay.rep_index.(a.arc_src) - r,
+      lay.n_events + lay.rep_index.(a.arc_dst) + ((m - 1) * r) )
 
-(* construction is O(periods * arcs): amortised cancellation checks
-   keep a pathological (huge-period) unfolding within its budget *)
-let add_all_arcs ~deadline t dag =
-  let added = ref 0 in
+(* the CSR views of the unfolding of [arcs] over [lay], built straight
+   from the arc table.  The layout is fixed: the out-slice of a source
+   lists its arc instances in generation order (arc id ascending, then
+   period ascending), and the in-CSR is the stable counting sort of
+   that out-sequence by destination.  Backtracking breaks longest-path
+   ties by adjacency order, so this layout is part of what makes
+   reports reproducible — [make] and [patch] share this function,
+   which is what makes a patched unfolding's views byte-identical to a
+   cold one's.  Construction is O(periods * arcs); the deadline is
+   checked at amortised intervals so a pathological (huge-period)
+   unfolding stays within its budget. *)
+let build_csrs ~deadline lay arcs =
+  let total = lay.n_instances in
+  let r = Array.length lay.rep_ids in
+  let runs = Array.map (arc_run lay) arcs in
+  let out_starts = Array.make (total + 1) 0 in
+  let in_starts = Array.make (total + 1) 0 in
+  let m = ref 0 in
+  Array.iter
+    (fun (n, s0, d0, sb, db) ->
+      if (!m + n) lsr 13 <> !m lsr 13 then Tsg_engine.Deadline.check deadline;
+      m := !m + n;
+      for j = 0 to n - 1 do
+        let s = if j = 0 then s0 else sb + (j * r) in
+        let d = if j = 0 then d0 else db + (j * r) in
+        out_starts.(s + 1) <- out_starts.(s + 1) + 1;
+        in_starts.(d + 1) <- in_starts.(d + 1) + 1
+      done)
+    runs;
+  let m = !m in
+  for v = 1 to total do
+    out_starts.(v) <- out_starts.(v) + out_starts.(v - 1);
+    in_starts.(v) <- in_starts.(v) + in_starts.(v - 1)
+  done;
+  let out_dsts = Array.make (max m 1) 0 in
+  let out_aids = Array.make (max m 1) 0 in
+  let fill = Array.sub out_starts 0 total in
   Array.iteri
-    (fun aid a ->
-      iter_arc_instances t a (fun src dst ->
-          incr added;
-          if !added land 8191 = 0 then Tsg_engine.Deadline.check deadline;
-          Tsg_graph.Digraph.add_arc dag ~src ~dst aid))
-    (Signal_graph.arcs t.sg)
+    (fun aid (n, s0, d0, sb, db) ->
+      for j = 0 to n - 1 do
+        let s = if j = 0 then s0 else sb + (j * r) in
+        let p = fill.(s) in
+        fill.(s) <- p + 1;
+        out_dsts.(p) <- (if j = 0 then d0 else db + (j * r));
+        out_aids.(p) <- aid
+      done)
+    runs;
+  let in_srcs = Array.make (max m 1) 0 in
+  let in_aids = Array.make (max m 1) 0 in
+  let fill = Array.sub in_starts 0 total in
+  for s = 0 to total - 1 do
+    for p = out_starts.(s) to out_starts.(s + 1) - 1 do
+      let d = out_dsts.(p) in
+      let q = fill.(d) in
+      fill.(d) <- q + 1;
+      in_srcs.(q) <- s;
+      in_aids.(q) <- out_aids.(p)
+    done
+  done;
+  Tsg_engine.Metrics.incr ~by:m "unfolding/arc_instances";
+  ( { starts = in_starts; neighbors = in_srcs; arc_ids = in_aids },
+    { starts = out_starts; neighbors = out_dsts; arc_ids = out_aids } )
 
-(* force the digraph view: a patched unfolding synthesised its CSRs
-   without one, so the (rare) callers that want the digraph itself pay
-   for the rebuild here — same construction loop as [make], hence the
-   same graph *)
-let force_dag t =
-  match t.dag_cache with
-  | Some dag -> dag
-  | None ->
-    let dag = Tsg_graph.Digraph.create ~capacity:(max t.n_instances 1) () in
-    Tsg_graph.Digraph.add_vertices dag t.n_instances;
-    add_all_arcs ~deadline:Tsg_engine.Deadline.none t dag;
-    t.dag_cache <- Some dag;
-    dag
+(* A topological order built period by period.  Every arc instance
+   stays inside its period or moves to a later one (the marking is 0
+   or 1), and period ids are laid out period-major, so the order of
+   period 0 followed by the order of each later period is valid.  The
+   arcs inside period 0 are the unmarked ones; inside any later period
+   they are the unmarked arcs between repetitive events that are not
+   disengageable — the same set for every period, whose order is
+   therefore computed once and repeated with a stride of [r].
+
+   Within a period the Kahn pass emits the smallest ready id first.
+   That makes the whole order the smallest-id-first order of the
+   unfolding (period-major ids: a ready instance of the earliest
+   unfinished period always exists and beats every later one), so the
+   order — and with it each root's topo position, hence the windowed
+   kernel's scan counts — is fixed by the graph alone.  The ready set
+   spans one period's events, not the instance space. *)
+module Ready = Set.Make (Int)
+
+let period_order ~nodes ~node_of ~arcs ~inside =
+  let succ = Array.make nodes [] in
+  let indeg = Array.make nodes 0 in
+  Array.iter
+    (fun (a : Signal_graph.arc) ->
+      if inside a then begin
+        let u = node_of a.arc_src and v = node_of a.arc_dst in
+        succ.(u) <- v :: succ.(u);
+        indeg.(v) <- indeg.(v) + 1
+      end)
+    arcs;
+  let ready = ref Ready.empty in
+  for v = nodes - 1 downto 0 do
+    if indeg.(v) = 0 then ready := Ready.add v !ready
+  done;
+  let order = Array.make nodes 0 in
+  let next = ref 0 in
+  while not (Ready.is_empty !ready) do
+    let v = Ready.min_elt !ready in
+    ready := Ready.remove v !ready;
+    order.(!next) <- v;
+    incr next;
+    List.iter
+      (fun w ->
+        indeg.(w) <- indeg.(w) - 1;
+        if indeg.(w) = 0 then ready := Ready.add w !ready)
+      succ.(v)
+  done;
+  if !next < nodes then
+    invalid_arg "Unfolding: a token-free cycle has no topological order";
+  order
+
+let periodic_order lay sg =
+  let arcs = Signal_graph.arcs sg in
+  let r = Array.length lay.rep_ids in
+  let first =
+    period_order ~nodes:lay.n_events ~node_of:Fun.id ~arcs ~inside:(fun a ->
+        not a.Signal_graph.marked)
+  in
+  let later =
+    if lay.k = 1 then [||]
+    else
+      period_order ~nodes:r
+        ~node_of:(fun e -> lay.rep_index.(e))
+        ~arcs
+        ~inside:(fun (a : Signal_graph.arc) ->
+          (not a.marked) && (not a.disengageable)
+          && lay.rep_index.(a.arc_src) >= 0
+          && lay.rep_index.(a.arc_dst) >= 0)
+  in
+  let topo = Array.make lay.n_instances 0 in
+  let pos = Array.make lay.n_instances 0 in
+  Array.iteri
+    (fun k v ->
+      topo.(k) <- v;
+      pos.(v) <- k)
+    first;
+  for p = 1 to lay.k - 1 do
+    let base = lay.n_events + ((p - 1) * r) in
+    for j = 0 to r - 1 do
+      let v = base + later.(j) in
+      topo.(base + j) <- v;
+      pos.(v) <- base + j
+    done
+  done;
+  (topo, pos)
+
+let delay_table sg =
+  Array.map (fun (a : Signal_graph.arc) -> a.Signal_graph.delay) (Signal_graph.arcs sg)
+
+let build ~deadline sg lay =
+  let in_csr, out_csr = build_csrs ~deadline lay (Signal_graph.arcs sg) in
+  let topo, topo_pos = periodic_order lay sg in
+  { sg; lay; in_csr; out_csr; topo; topo_pos; delay_table = delay_table sg }
 
 let make ?(deadline = Tsg_engine.Deadline.none) sg ~periods =
   if periods < 1 then invalid_arg "Unfolding.make: periods must be >= 1";
   Tsg_obs.Trace.with_span "unfolding/make" ~args:[ ("periods", string_of_int periods) ]
   @@ fun () ->
   let n_events = Signal_graph.event_count sg in
-  let rep_list = Signal_graph.repetitive_events sg in
-  let r = List.length rep_list in
   let rep_index = Array.make (max n_events 1) (-1) in
-  let rep_ids = Array.make (max r 1) 0 in
-  List.iteri
-    (fun i e ->
-      rep_index.(e) <- i;
-      rep_ids.(i) <- e)
-    rep_list;
-  let rep_ids = Array.sub rep_ids 0 r in
-  let total = n_events + ((periods - 1) * r) in
-  let dag = Tsg_graph.Digraph.create ~capacity:(max total 1) () in
-  Tsg_graph.Digraph.add_vertices dag total;
-  let t =
-    {
-      sg;
-      k = periods;
-      n_events;
-      n_instances = total;
-      rep_index;
-      rep_ids;
-      dag_cache = Some dag;
-      in_csr = None;
-      out_csr = None;
-      topo = None;
-      topo_pos_cache = None;
-      delay_cache = None;
-    }
-  in
-  add_all_arcs ~deadline t dag;
+  let rep_ids = Array.of_list (Signal_graph.repetitive_events sg) in
+  Array.iteri (fun i e -> rep_index.(e) <- i) rep_ids;
+  let total = n_events + ((periods - 1) * Array.length rep_ids) in
+  let lay = { k = periods; n_events; n_instances = total; rep_index; rep_ids } in
+  let t = build ~deadline sg lay in
   Tsg_engine.Metrics.incr "unfolding/built";
   Tsg_engine.Metrics.incr ~by:total "unfolding/instances";
   t
 
 let signal_graph t = t.sg
-let periods t = t.k
-let instance_count t = t.n_instances
+let periods t = t.lay.k
+let instance_count t = t.lay.n_instances
 
 let instance_opt t ~event ~period =
-  if event < 0 || event >= t.n_events || period < 0 || period >= t.k then None
-  else if period > 0 && t.rep_index.(event) < 0 then None
-  else Some (instance_id t ~event ~period)
+  let lay = t.lay in
+  if event < 0 || event >= lay.n_events || period < 0 || period >= lay.k then None
+  else if period > 0 && lay.rep_index.(event) < 0 then None
+  else Some (instance_id lay ~event ~period)
 
 let instance t ~event ~period =
   match instance_opt t ~event ~period with
@@ -135,102 +244,34 @@ let instance t ~event ~period =
          period)
 
 let event_of_instance t i =
-  if i < t.n_events then (i, 0)
+  let lay = t.lay in
+  if i < lay.n_events then (i, 0)
   else begin
-    let r = Array.length t.rep_ids in
-    let off = i - t.n_events in
-    (t.rep_ids.(off mod r), 1 + (off / r))
+    let r = Array.length lay.rep_ids in
+    let off = i - lay.n_events in
+    (lay.rep_ids.(off mod r), 1 + (off / r))
   end
-
-let dag t = force_dag t
-let delay_of_label t aid = (Signal_graph.arc t.sg aid).Signal_graph.delay
 
 (* ------------------------------------------------------------------ *)
 (* Compact views                                                       *)
 
-let build_csr t ~incoming =
-  let dag = force_dag t in
-  let n = instance_count t in
-  let m = Tsg_graph.Digraph.arc_count dag in
-  let starts = Array.make (n + 1) 0 in
-  Tsg_graph.Digraph.iter_arcs dag (fun src dst _ ->
-      let v = if incoming then dst else src in
-      starts.(v + 1) <- starts.(v + 1) + 1);
-  for v = 1 to n do
-    starts.(v) <- starts.(v) + starts.(v - 1)
-  done;
-  let fill = Array.copy starts in
-  let neighbors = Array.make (max m 1) 0 in
-  let arc_ids = Array.make (max m 1) 0 in
-  Tsg_graph.Digraph.iter_arcs dag (fun src dst aid ->
-      let v, w = if incoming then (dst, src) else (src, dst) in
-      neighbors.(fill.(v)) <- w;
-      arc_ids.(fill.(v)) <- aid;
-      fill.(v) <- fill.(v) + 1);
-  { starts; neighbors; arc_ids }
-
-let in_adjacency t =
-  match t.in_csr with
-  | Some csr -> (csr.starts, csr.neighbors, csr.arc_ids)
-  | None ->
-    let csr = build_csr t ~incoming:true in
-    t.in_csr <- Some csr;
-    (csr.starts, csr.neighbors, csr.arc_ids)
-
-let out_adjacency t =
-  match t.out_csr with
-  | Some csr -> (csr.starts, csr.neighbors, csr.arc_ids)
-  | None ->
-    let csr = build_csr t ~incoming:false in
-    t.out_csr <- Some csr;
-    (csr.starts, csr.neighbors, csr.arc_ids)
+let in_adjacency t = (t.in_csr.starts, t.in_csr.neighbors, t.in_csr.arc_ids)
+let out_adjacency t = (t.out_csr.starts, t.out_csr.neighbors, t.out_csr.arc_ids)
 
 let initial_instances t =
   (* an instance is initial iff it has no in-arc, i.e. its slice of
-     the in-CSR is empty — one pass over the cached [starts] array
-     instead of a digraph in-degree query per vertex *)
-  let starts, _, _ = in_adjacency t in
+     the in-CSR is empty *)
+  let starts = t.in_csr.starts in
   let result = ref [] in
   for i = instance_count t - 1 downto 0 do
     if starts.(i + 1) = starts.(i) then result := i :: !result
   done;
   !result
 
-let topological_order t =
-  match t.topo with
-  | Some order -> order
-  | None ->
-    let order = Array.of_list (Tsg_graph.Topo.sort_exn (force_dag t)) in
-    t.topo <- Some order;
-    order
-
-let topo_position t =
-  match t.topo_pos_cache with
-  | Some pos -> pos
-  | None ->
-    let order = topological_order t in
-    let pos = Array.make (instance_count t) 0 in
-    Array.iteri (fun k v -> pos.(v) <- k) order;
-    t.topo_pos_cache <- Some pos;
-    pos
-
-let delays t =
-  match t.delay_cache with
-  | Some d -> d
-  | None ->
-    let d =
-      Array.map (fun (a : Signal_graph.arc) -> a.Signal_graph.delay) (Signal_graph.arcs t.sg)
-    in
-    t.delay_cache <- Some d;
-    d
-
-let warm_caches t =
-  Tsg_obs.Trace.with_span "unfolding/warm" @@ fun () ->
-  ignore (in_adjacency t);
-  ignore (out_adjacency t);
-  ignore (topological_order t);
-  ignore (topo_position t);
-  ignore (delays t)
+let topological_order t = t.topo
+let topo_position t = t.topo_pos
+let delays t = t.delay_table
+let warm_caches (_ : t) = ()
 
 (* ------------------------------------------------------------------ *)
 (* Structural patching                                                 *)
@@ -241,88 +282,15 @@ type patch_delta = {
 }
 
 (* The load-bearing simplification: [instance_id] depends only on the
-   event set, the event classes and the period count — never on the
-   arc table.  An arc-level edit (add/remove/marking flip) therefore
-   keeps every instance id stable; only the DAG's arcs change.
-
-   The CSR views of the patched dag are synthesised {e directly} from
-   the edited arc table, without building a digraph: a cold build's
-   CSR slice order is fixed — [Digraph.iter_arcs] walks sources in
-   ascending vertex order and, within a source, in insertion order,
-   which is the generation order of [add_all_arcs] (arc id ascending,
-   period ascending) — so two stable counting sorts of the generated
-   (src, dst, arc) triples reproduce, byte for byte, the arrays a cold
-   unfolding of the edited graph would cache.  This matters beyond
-   speed: backtracking breaks longest-path ties by adjacency order, so
-   identical CSR bytes are what make warm reports serialise
-   identically to cold ones.  Only the topological order may differ,
-   and any valid order is equivalent for the simulation (occurrence
-   times are order-independent maxima). *)
-let synthesize_csrs ~deadline t' =
-  let total = t'.n_instances in
-  let arcs = Signal_graph.arcs t'.sg in
-  (* pass 1: count the arc instances *)
-  let m = ref 0 in
-  Array.iter (fun a -> iter_arc_instances t' a (fun _ _ -> incr m)) arcs;
-  let m = !m in
-  (* pass 2: materialise them in generation order *)
-  let gs = Array.make (max m 1) 0 in
-  let gd = Array.make (max m 1) 0 in
-  let ga = Array.make (max m 1) 0 in
-  let k = ref 0 in
-  Array.iteri
-    (fun aid a ->
-      iter_arc_instances t' a (fun src dst ->
-          if !k land 8191 = 0 then Tsg_engine.Deadline.check deadline;
-          gs.(!k) <- src;
-          gd.(!k) <- dst;
-          ga.(!k) <- aid;
-          incr k))
-    arcs;
-  (* stable counting sort by src: the out-CSR, whose slices are the
-     per-source runs in generation order *)
-  let out_starts = Array.make (total + 1) 0 in
-  for i = 0 to m - 1 do
-    out_starts.(gs.(i) + 1) <- out_starts.(gs.(i) + 1) + 1
-  done;
-  for v = 1 to total do
-    out_starts.(v) <- out_starts.(v) + out_starts.(v - 1)
-  done;
-  let fill = Array.copy out_starts in
-  let s_src = Array.make (max m 1) 0 in
-  let s_dst = Array.make (max m 1) 0 in
-  let s_aid = Array.make (max m 1) 0 in
-  for i = 0 to m - 1 do
-    let p = fill.(gs.(i)) in
-    fill.(gs.(i)) <- p + 1;
-    s_src.(p) <- gs.(i);
-    s_dst.(p) <- gd.(i);
-    s_aid.(p) <- ga.(i)
-  done;
-  t'.out_csr <- Some { starts = out_starts; neighbors = s_dst; arc_ids = s_aid };
-  (* stable counting sort of that sequence by dst: the in-CSR *)
-  let in_starts = Array.make (total + 1) 0 in
-  for p = 0 to m - 1 do
-    in_starts.(s_dst.(p) + 1) <- in_starts.(s_dst.(p) + 1) + 1
-  done;
-  for v = 1 to total do
-    in_starts.(v) <- in_starts.(v) + in_starts.(v - 1)
-  done;
-  let fill = Array.copy in_starts in
-  let in_srcs = Array.make (max m 1) 0 in
-  let in_aids = Array.make (max m 1) 0 in
-  for p = 0 to m - 1 do
-    let q = fill.(s_dst.(p)) in
-    fill.(s_dst.(p)) <- q + 1;
-    in_srcs.(q) <- s_src.(p);
-    in_aids.(q) <- s_aid.(p)
-  done;
-  t'.in_csr <- Some { starts = in_starts; neighbors = in_srcs; arc_ids = in_aids }
-
+   layout — never on the arc table.  An arc-level edit
+   (add/remove/marking flip) therefore keeps every instance id stable;
+   only the DAG's arcs change, and the patched unfolding is the cold
+   construction of the edited graph over the base layout. *)
 let patch ?(deadline = Tsg_engine.Deadline.none) t g' ~arc_map =
-  if Signal_graph.event_count g' <> t.n_events then
+  let lay = t.lay in
+  if Signal_graph.event_count g' <> lay.n_events then
     invalid_arg "Unfolding.patch: the edited graph has a different event set";
-  for e = 0 to t.n_events - 1 do
+  for e = 0 to lay.n_events - 1 do
     if Signal_graph.class_of g' e <> Signal_graph.class_of t.sg e then
       invalid_arg "Unfolding.patch: the edited graph changes an event class"
   done;
@@ -331,31 +299,23 @@ let patch ?(deadline = Tsg_engine.Deadline.none) t g' ~arc_map =
   if Array.length arc_map <> Array.length arcs_old then
     invalid_arg "Unfolding.patch: arc_map length differs from the base arc count";
   Tsg_obs.Trace.with_span "unfolding/patch" @@ fun () ->
-  let total = instance_count t in
-  let t' =
-    {
-      t with
-      sg = g';
-      dag_cache = None;
-      in_csr = None;
-      out_csr = None;
-      topo = None;
-      topo_pos_cache = None;
-      delay_cache = None;
-    }
-  in
-  synthesize_csrs ~deadline t';
   (* diff the instance sets through [arc_map]: a surviving arc with
      unchanged marking/disengageability instantiates identically; a
      flipped one regenerates (old instances dropped, new spliced); an
      unmapped base arc drops its cone seeds; a new arc with no
      preimage splices fresh instances *)
   let dropped = ref [] and spliced = ref [] in
-  let note acc t0 a = iter_arc_instances t0 a (fun s d -> acc := (s, d) :: !acc) in
+  let note acc a =
+    let n, s0, d0, sb, db = arc_run lay a in
+    let r = Array.length lay.rep_ids in
+    for j = 0 to n - 1 do
+      acc := (if j = 0 then (s0, d0) else (sb + (j * r), db + (j * r))) :: !acc
+    done
+  in
   let mapped = Array.make (max (Array.length arcs_new) 1) false in
   Array.iteri
     (fun a a' ->
-      if a' < 0 then note dropped t arcs_old.(a)
+      if a' < 0 then note dropped arcs_old.(a)
       else begin
         let old_a = arcs_old.(a) and new_a = arcs_new.(a') in
         if old_a.Signal_graph.arc_src <> new_a.Signal_graph.arc_src
@@ -365,99 +325,15 @@ let patch ?(deadline = Tsg_engine.Deadline.none) t g' ~arc_map =
         if old_a.Signal_graph.marked <> new_a.Signal_graph.marked
            || old_a.Signal_graph.disengageable <> new_a.Signal_graph.disengageable
         then begin
-          note dropped t old_a;
-          note spliced t' new_a
+          note dropped old_a;
+          note spliced new_a
         end
       end)
     arc_map;
-  Array.iteri (fun a' arc -> if not mapped.(a') then note spliced t' arc) arcs_new;
-  let spliced = Array.of_list !spliced and dropped = Array.of_list !dropped in
-  (* topological-order repair.  Removing arcs can never invalidate a
-     valid order; only a spliced arc that runs {e backwards} against
-     the base positions can.  When none does, the base order (and its
-     position array) is reused as-is. *)
-  let base_topo = topological_order t in
-  let base_pos = topo_position t in
-  let violates (s, d) = base_pos.(s) > base_pos.(d) in
-  if not (Array.exists violates spliced) then begin
-    t'.topo <- Some base_topo;
-    t'.topo_pos_cache <- Some base_pos;
-    Tsg_engine.Metrics.incr "unfolding/topo_reused"
-  end
-  else begin
-    (* bounded position-shift repair: let W be the contiguous position
-       window [lo, hi] spanning every violating arc (lo = min position
-       of a violating dst, hi = max position of a violating src).  Any
-       new-dag arc with at most one endpoint in W is already satisfied
-       by the base positions (a kept or forward spliced arc crossing
-       the window boundary cannot invert inside it), so re-ranking the
-       members of W among themselves — a local Kahn scan over the new
-       dag restricted to W, emitting into positions lo..hi — yields a
-       valid order for the whole dag without touching the other
-       [n - |W|] positions. *)
-    let lo = ref max_int and hi = ref (-1) in
-    Array.iter
-      (fun (s, d) ->
-        if violates (s, d) then begin
-          if base_pos.(d) < !lo then lo := base_pos.(d);
-          if base_pos.(s) > !hi then hi := base_pos.(s)
-        end)
-      spliced;
-    let lo = !lo and hi = !hi in
-    let topo = Array.copy base_topo in
-    let pos = Array.copy base_pos in
-    let in_window v =
-      let p = base_pos.(v) in
-      p >= lo && p <= hi
-    in
-    let in_starts, in_srcs, _ = in_adjacency t' in
-    let out_starts, out_dsts, _ = out_adjacency t' in
-    let indeg = Array.make total 0 in
-    for p = lo to hi do
-      let v = base_topo.(p) in
-      let cnt = ref 0 in
-      for j = in_starts.(v) to in_starts.(v + 1) - 1 do
-        if in_window in_srcs.(j) then incr cnt
-      done;
-      indeg.(v) <- !cnt
-    done;
-    let q = Queue.create () in
-    for p = lo to hi do
-      let v = base_topo.(p) in
-      if indeg.(v) = 0 then Queue.add v q
-    done;
-    let next = ref lo in
-    while not (Queue.is_empty q) do
-      if !next land 8191 = 0 then Tsg_engine.Deadline.check deadline;
-      let v = Queue.pop q in
-      topo.(!next) <- v;
-      pos.(v) <- !next;
-      incr next;
-      for j = out_starts.(v) to out_starts.(v + 1) - 1 do
-        let w = out_dsts.(j) in
-        if in_window w then begin
-          indeg.(w) <- indeg.(w) - 1;
-          if indeg.(w) = 0 then Queue.add w q
-        end
-      done
-    done;
-    if !next = hi + 1 then begin
-      t'.topo <- Some topo;
-      t'.topo_pos_cache <- Some pos;
-      Tsg_engine.Metrics.incr "unfolding/topo_shifted";
-      Tsg_engine.Metrics.incr ~by:(hi - lo + 1) "unfolding/topo_window"
-    end
-    else begin
-      (* a cycle inside the window — impossible for a validated TSG,
-         but a full re-sort is always a sound answer *)
-      t'.topo <- None;
-      t'.topo_pos_cache <- None;
-      ignore (topological_order t');
-      ignore (topo_position t')
-    end
-  end;
+  Array.iteri (fun a' arc -> if not mapped.(a') then note spliced arc) arcs_new;
+  let t' = build ~deadline g' lay in
   Tsg_engine.Metrics.incr "unfolding/patched";
-  (t', { pd_spliced = spliced; pd_dropped = dropped })
+  (t', { pd_spliced = Array.of_list !spliced; pd_dropped = Array.of_list !dropped })
 
 let pp_instance t ppf i =
   let e, p = event_of_instance t i in

@@ -19,7 +19,11 @@
 type t
 
 val make : ?deadline:Tsg_engine.Deadline.t -> Signal_graph.t -> periods:int -> t
-(** [make g ~periods:k] materialises periods [0 .. k-1].
+(** [make g ~periods:k] materialises periods [0 .. k-1]: the CSR views
+    and the topological order below, all at once.  The adjacency is
+    built straight from the arc table — each arc's instances are one
+    run with a fixed per-period stride — and the order period by
+    period, from one small Kahn pass over a single period's arcs.
     [deadline] is checked at amortised intervals during arc
     construction (which is [O(k * arcs)]).
     @raise Invalid_argument if [k < 1].
@@ -41,36 +45,35 @@ val instance_opt : t -> event:int -> period:int -> int option
 val event_of_instance : t -> int -> int * int
 (** [(event id, period)] of an instance. *)
 
-val dag : t -> int Tsg_graph.Digraph.t
-(** The unfolding as a digraph over instance ids; each arc is labelled
-    with the id of the Signal-Graph arc it instantiates.  Lazy: a
-    {!patch}ed unfolding synthesises its CSR views without building a
-    digraph, so the first [dag] call on one pays for the rebuild. *)
-
-val delay_of_label : t -> int -> float
-(** The delay of the Signal-Graph arc with the given id (convenience
-    for weighting {!dag} arcs). *)
-
 val initial_instances : t -> int list
 (** The instances of [I_u]: those with no in-arcs, ascending.
-    Derived from the cached in-adjacency ({!in_adjacency}), which is
-    forced on first use. *)
+    Derived from the in-adjacency ({!in_adjacency}). *)
 
 (** {1 Compact views}
 
-    The digraph accessors allocate per call; the arrays below are
-    computed once per unfolding and shared (do not mutate them).  They
-    are what keeps the O(b^2 m) algorithm's constant factor small. *)
+    The arrays below are computed once per unfolding, by {!make} or
+    {!patch}, and shared (do not mutate them).  They are what keeps the
+    O(b^2 m) algorithm's constant factor small.  An unfolding is
+    therefore a read-only value, safe to read from several domains at
+    once. *)
 
 val in_adjacency : t -> int array * int array * int array
 (** [(starts, srcs, arc_ids)] in CSR form: the in-arcs of instance [v]
-    are the entries [starts.(v) .. starts.(v+1) - 1]. *)
+    are the entries [starts.(v) .. starts.(v+1) - 1], each labelled
+    with the id of the Signal-Graph arc it instantiates.  The slice
+    order is fixed — by source instance, then arc id — and
+    longest-path tie-breaking depends on it. *)
 
 val out_adjacency : t -> int array * int array * int array
-(** Same, for out-arcs: [(starts, dsts, arc_ids)]. *)
+(** Same, for out-arcs: [(starts, dsts, arc_ids)]; a slice lists its
+    arc instances by arc id. *)
 
 val topological_order : t -> int array
-(** A topological order of the instances, computed once. *)
+(** A topological order of the instances: every arc instance goes
+    forward in it, which is all the simulations need — any valid order
+    gives the same occurrence times.  {!make} and {!patch} build the
+    smallest-id-first order, which fixes each root's scan window and
+    with it the exact kernel work counters. *)
 
 val topo_position : t -> int array
 (** The inverse permutation of {!topological_order}:
@@ -85,9 +88,8 @@ val delays : t -> float array
     mutate). *)
 
 val warm_caches : t -> unit
-(** Forces every lazy view above.  Call before sharing the unfolding
-    across domains: the views are then plain read-only arrays and the
-    unfolding is safe to read concurrently. *)
+(** A no-op: {!make} and {!patch} build every view above, so an
+    unfolding is ready to share across domains as soon as it exists. *)
 
 (** {1 Structural patching}
 
@@ -95,10 +97,10 @@ val warm_caches : t -> unit
     the period count — never on the arc table.  An arc-level edit
     (add, remove, marking or disengageability flip) therefore keeps
     every instance id stable, and the unfolding can be {e patched} in
-    place of a full re-unfold: synthesise the CSR adjacency views
-    directly from the edited arc table (two stable counting sorts — no
-    digraph is built), and repair the topological order only inside
-    the position window disturbed by the spliced arcs. *)
+    place of a full re-unfold: the edited graph is unfolded over the
+    base instance space by the construction {!make} uses, and the
+    instance-level difference is reported so a caller can repair only
+    what the edit reaches. *)
 
 type patch_delta = {
   pd_spliced : (int * int) array;
@@ -121,15 +123,9 @@ val patch :
     was removed; mapped arcs must keep their endpoints (delay, marking
     and disengageability may change), surviving ids must be assigned
     in increasing order, and [g']'s remaining arcs are treated as
-    additions.  The patched CSR views are bit-identical to those of a
-    cold [make g'] (the synthesis reproduces the cold build's
-    generation and iteration order exactly, which also pins
-    longest-path tie-breaking); the topological order is the base
-    order when no spliced arc runs backwards against it, repaired by a
-    bounded local re-rank otherwise, and in either case a valid order
-    of the patched dag.  The base unfolding is not mutated; the two
-    share the base topo arrays when reuse is possible (both treat them
-    as read-only).
+    additions.  The patched views are bit-identical to those of a cold
+    [make g'] (both come from one construction, which also pins
+    longest-path tie-breaking).  The base unfolding is not mutated.
     @raise Invalid_argument if [g'] changes the event set or classes,
     or [arc_map] is inconsistent with the two arc tables. *)
 

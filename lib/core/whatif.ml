@@ -21,8 +21,9 @@ type t = {
   base : Cycle_time.report;
   base_traces : Cycle_time.border_trace array;
   base_delays : float array;  (* per Signal-Graph arc id *)
-  base_times : float array array;  (* per border index: time per instance *)
-  base_reached : Bytes.t array;  (* per border index: '\001' = reached *)
+  (* per border index: time per instance, [neg_infinity] where the
+     root's simulation does not reach *)
+  base_times : float array array;
   (* unfolding instantiations of each Signal-Graph arc, grouped by arc
      id as parallel (src instance, dst instance) arrays — the seed set
      of the dirty propagation *)
@@ -38,10 +39,16 @@ let digest t = t.digest
 
 (* ------------------------------------------------------------------ *)
 (* Preparation: one cold analysis that retains, per border event, the
-   full occurrence-time and reachability arrays of its event-initiated
-   simulation.  Reachability depends only on topology, so it stays
-   exact under delay edits; the retained times are the warm-start
-   baseline the dirty propagation below patches. *)
+   full occurrence-time array of its event-initiated simulation, with
+   [neg_infinity] marking the instances it does not reach.  One array
+   carries both facts: an unreached source contributes [neg_infinity]
+   to a longest-path maximum, i.e. nothing, so the repair loops below
+   need no separate reachability test.  Reachability depends only on
+   topology, so it stays exact under delay edits; the retained times
+   are the warm-start baseline the dirty propagation below patches. *)
+
+(* the time a cold simulation's view reports: unreached reads 0. *)
+let reported t = if t = neg_infinity then 0. else t
 
 let prepare ?deadline ?periods ?(jobs = 1) g =
   let deadline =
@@ -68,7 +75,6 @@ let prepare ?deadline ?periods ?(jobs = 1) g =
   let periods = match periods with Some p -> max 1 p | None -> b in
   let u = Unfolding.make ~deadline g ~periods:(periods + 1) in
   Tsg_engine.Deadline.check deadline;
-  Unfolding.warm_caches u;
   let n = Unfolding.instance_count u in
   let border_arr = Array.of_list border in
   let roots =
@@ -77,21 +83,20 @@ let prepare ?deadline ?periods ?(jobs = 1) g =
   let captures =
     Timing_sim.simulate_many ~deadline ~jobs u ~roots ~f:(fun at view ->
         let g0, _ = Unfolding.event_of_instance u at in
-        let times = Array.init n (fun i -> Timing_sim.view_time view i) in
-        let reached = Bytes.make n '\000' in
-        for i = 0 to n - 1 do
-          if Timing_sim.view_reached view i then Bytes.unsafe_set reached i '\001'
-        done;
+        let times =
+          Array.init n (fun i ->
+              if Timing_sim.view_reached view i then Timing_sim.view_time view i
+              else neg_infinity)
+        in
         let trace =
           Cycle_time.Internal.trace_of_times
             (fun i -> Timing_sim.view_time view i)
             u periods g0
         in
-        (times, reached, trace))
+        (times, trace))
   in
-  let base_times = Array.map (fun (times, _, _) -> times) captures in
-  let base_reached = Array.map (fun (_, reached, _) -> reached) captures in
-  let base_traces = Array.map (fun (_, _, trace) -> trace) captures in
+  let base_times = Array.map fst captures in
+  let base_traces = Array.map snd captures in
   let base =
     Cycle_time.Internal.finish ~deadline g u ~border ~periods
       ~traces:(Array.to_list base_traces)
@@ -125,7 +130,6 @@ let prepare ?deadline ?periods ?(jobs = 1) g =
     base_traces;
     base_delays = Array.copy (Unfolding.delays u);
     base_times;
-    base_reached;
     arc_inst_srcs;
     arc_inst_dsts;
   }
@@ -327,7 +331,6 @@ type scratch = {
   s_stamp : int array;
   mutable s_epoch : int;
   s_dirty : int array;  (* dirty-this-epoch marker, per topo position *)
-  s_reached : Bytes.t;  (* repaired reachability, valid where stamped *)
 }
 
 let scratch t =
@@ -337,21 +340,14 @@ let scratch t =
     s_stamp = Array.make n 0;
     s_epoch = 0;
     s_dirty = Array.make n 0;
-    s_reached = Bytes.make n '\000';
   }
 
 (* is any instance of a changed arc live in root [idx]'s simulation?
    (its destinations are then exactly the dirty seeds) *)
 let affected t ~idx changed =
-  let reached = t.base_reached.(idx) in
+  let bt = t.base_times.(idx) in
   List.exists
-    (fun a ->
-      let ss = t.arc_inst_srcs.(a) in
-      let len = Array.length ss in
-      let rec live k =
-        k < len && (Bytes.unsafe_get reached ss.(k) = '\001' || live (k + 1))
-      in
-      live 0)
+    (fun a -> Array.exists (fun s -> bt.(s) > neg_infinity) t.arc_inst_srcs.(a))
     changed
 
 let resim ~deadline t sc ~idx ~delays changed =
@@ -361,7 +357,6 @@ let resim ~deadline t sc ~idx ~delays changed =
   let in_starts, in_srcs, in_arcs = Unfolding.in_adjacency u in
   let out_starts, out_dsts, _ = Unfolding.out_adjacency u in
   let bt = t.base_times.(idx) in
-  let reached = t.base_reached.(idx) in
   sc.s_epoch <- sc.s_epoch + 1;
   let epoch = sc.s_epoch in
   let stamp = sc.s_stamp in
@@ -377,7 +372,7 @@ let resim ~deadline t sc ~idx ~delays changed =
       let ss = t.arc_inst_srcs.(a) in
       let ds = t.arc_inst_dsts.(a) in
       for k = 0 to Array.length ss - 1 do
-        if Bytes.unsafe_get reached (Array.unsafe_get ss k) = '\001' then begin
+        if Array.unsafe_get bt (Array.unsafe_get ss k) > neg_infinity then begin
           let p = Array.unsafe_get pos (Array.unsafe_get ds k) in
           if Array.unsafe_get dirty p <> epoch then begin
             Array.unsafe_set dirty p epoch;
@@ -404,14 +399,12 @@ let resim ~deadline t sc ~idx ~delays changed =
        let j1 = Array.unsafe_get in_starts (v + 1) - 1 in
        for j = Array.unsafe_get in_starts v to j1 do
          let s = Array.unsafe_get in_srcs j in
-         if Bytes.unsafe_get reached s = '\001' then begin
-           let ts =
-             if Array.unsafe_get stamp s = epoch then Array.unsafe_get nw s
-             else Array.unsafe_get bt s
-           in
-           let d = ts +. Array.unsafe_get delays (Array.unsafe_get in_arcs j) in
-           if d > !nt then nt := d
-         end
+         let ts =
+           if Array.unsafe_get stamp s = epoch then Array.unsafe_get nw s
+           else Array.unsafe_get bt s
+         in
+         let d = ts +. Array.unsafe_get delays (Array.unsafe_get in_arcs j) in
+         if d > !nt then nt := d
        done;
        if !nt <> Array.unsafe_get bt v then begin
          Array.unsafe_set stamp v epoch;
@@ -440,10 +433,11 @@ let resim ~deadline t sc ~idx ~delays changed =
    move.  The repair is the same monotone position scan as the delay
    kernel, over the {e patched} dag's CSR views and topological order,
    with one extension: reachability can now flip in both directions,
-   so the scan recomputes (reached, time) jointly.  A recomputed
-   instance stores [0.] when unreached — exactly the value a cold
-   simulation's view reports for unreached instances — so the repaired
-   tables serialise identically to a cold run of the edited graph. *)
+   so the scan recomputes (reached, time) jointly — one value, since
+   an unreached instance holds [neg_infinity].  [reported] maps that
+   to the [0.] a cold simulation's view reports for unreached
+   instances, so the repaired tables serialise identically to a cold
+   run of the edited graph. *)
 
 (* does root [idx]'s base simulation reach the source of any seed arc
    instance?  If not, nothing in its table can move and the base trace
@@ -452,8 +446,8 @@ let resim ~deadline t sc ~idx ~delays changed =
    source is unreached stays dormant — its source's own reachability
    is root-independent of the arcs leaving it.) *)
 let structural_affected t ~idx seeds =
-  let reached = t.base_reached.(idx) in
-  Array.exists (fun (s, _) -> Bytes.unsafe_get reached s = '\001') seeds
+  let bt = t.base_times.(idx) in
+  Array.exists (fun (s, _) -> bt.(s) > neg_infinity) seeds
 
 let resim_structural ~deadline t sc ~idx u' ~seeds =
   let topo = Unfolding.topological_order u' in
@@ -462,14 +456,12 @@ let resim_structural ~deadline t sc ~idx u' ~seeds =
   let out_starts, out_dsts, _ = Unfolding.out_adjacency u' in
   let delays = Unfolding.delays u' in
   let bt = t.base_times.(idx) in
-  let breached = t.base_reached.(idx) in
   let root = t.roots.(idx) in
   sc.s_epoch <- sc.s_epoch + 1;
   let epoch = sc.s_epoch in
   let stamp = sc.s_stamp in
   let nw = sc.s_new in
   let dirty = sc.s_dirty in
-  let sreach = sc.s_reached in
   let pending = ref 0 in
   let lo = ref max_int in
   (* seeds: destinations of every spliced, dropped or delay-edited arc
@@ -478,7 +470,7 @@ let resim_structural ~deadline t sc ~idx u' ~seeds =
      in-arcs never matter), so a seed landing on it is skipped. *)
   Array.iter
     (fun (s, d) ->
-      if d <> root && Bytes.unsafe_get breached s = '\001' then begin
+      if d <> root && Array.unsafe_get bt s > neg_infinity then begin
         let p = Array.unsafe_get pos d in
         if Array.unsafe_get dirty p <> epoch then begin
           Array.unsafe_set dirty p epoch;
@@ -496,30 +488,23 @@ let resim_structural ~deadline t sc ~idx u' ~seeds =
        incr steps;
        let v = Array.unsafe_get topo !k in
        if v <> root then begin
+         (* unreached sources hold [neg_infinity] and drop out of the
+            maximum, so [nt] stays [neg_infinity] exactly when [v]
+            becomes unreached *)
          let nt = ref neg_infinity in
-         let rc = ref false in
          let j1 = Array.unsafe_get in_starts (v + 1) - 1 in
          for j = Array.unsafe_get in_starts v to j1 do
            let s = Array.unsafe_get in_srcs j in
-           let stamped = Array.unsafe_get stamp s = epoch in
-           let s_reached =
-             if stamped then Bytes.unsafe_get sreach s = '\001'
-             else Bytes.unsafe_get breached s = '\001'
+           let ts =
+             if Array.unsafe_get stamp s = epoch then Array.unsafe_get nw s
+             else Array.unsafe_get bt s
            in
-           if s_reached then begin
-             let ts = if stamped then Array.unsafe_get nw s else Array.unsafe_get bt s in
-             let d = ts +. Array.unsafe_get delays (Array.unsafe_get in_arcs j) in
-             rc := true;
-             if d > !nt then nt := d
-           end
+           let d = ts +. Array.unsafe_get delays (Array.unsafe_get in_arcs j) in
+           if d > !nt then nt := d
          done;
-         let reached' = !rc in
-         let t' = if reached' then !nt else 0. in
-         let base_r = Bytes.unsafe_get breached v = '\001' in
-         if reached' <> base_r || (reached' && t' <> Array.unsafe_get bt v) then begin
+         if !nt <> Array.unsafe_get bt v then begin
            Array.unsafe_set stamp v epoch;
-           Bytes.unsafe_set sreach v (if reached' then '\001' else '\000');
-           Array.unsafe_set nw v t';
+           Array.unsafe_set nw v !nt;
            let j1 = Array.unsafe_get out_starts (v + 1) - 1 in
            for j = Array.unsafe_get out_starts v to j1 do
              let p = Array.unsafe_get pos (Array.unsafe_get out_dsts j) in
@@ -566,7 +551,9 @@ let warm_delay ~deadline sc t ~delays ~changed g' =
           resim ~deadline t sc ~idx:i ~delays changed;
           let epoch = sc.s_epoch in
           let bt = t.base_times.(i) in
-          let time_of v = if sc.s_stamp.(v) = epoch then sc.s_new.(v) else bt.(v) in
+          let time_of v =
+            reported (if sc.s_stamp.(v) = epoch then sc.s_new.(v) else bt.(v))
+          in
           Cycle_time.Internal.trace_of_times time_of t.u t.periods g0
         end)
       t.border_arr
@@ -582,7 +569,6 @@ let warm_delay ~deadline sc t ~delays ~changed g' =
 
 let warm_structural ~deadline sc t ~arc_map ~changed_delays g' =
   let u', delta = Unfolding.patch ~deadline t.u g' ~arc_map in
-  Unfolding.warm_caches u';
   let sp = delta.Unfolding.pd_spliced and dr = delta.Unfolding.pd_dropped in
   Tsg_engine.Metrics.incr ~by:(Array.length sp) "whatif/instances_spliced";
   Tsg_engine.Metrics.incr ~by:(Array.length dr) "whatif/instances_dropped";
@@ -611,7 +597,9 @@ let warm_structural ~deadline sc t ~arc_map ~changed_delays g' =
           resim_structural ~deadline t sc ~idx:i u' ~seeds;
           let epoch = sc.s_epoch in
           let bt = t.base_times.(i) in
-          let time_of v = if sc.s_stamp.(v) = epoch then sc.s_new.(v) else bt.(v) in
+          let time_of v =
+            reported (if sc.s_stamp.(v) = epoch then sc.s_new.(v) else bt.(v))
+          in
           Cycle_time.Internal.trace_of_times time_of u' t.periods g0
         end)
       t.border_arr

@@ -24,13 +24,12 @@
     {b Structural edits} (arc add/remove, marking flips) are warm too
     ({!change}): instance ids depend only on the event set, classes and
     period count, so the unfolding is {e patched} in place
-    ({!Unfolding.patch}) — the instance DAG is rebuilt by the same
-    construction loop (bit-identical CSR views), the topological order
-    is repaired only inside the window disturbed by spliced arcs, and
-    the same monotone position scan repairs each affected root's
-    times {e and reachability} jointly, seeded at the spliced, dropped
-    and delay-edited arc instances (the structural change cone).  The
-    one fallback: an edit that moves the {e border set} itself
+    ({!Unfolding.patch}) — the edited graph is unfolded over the base
+    instance space by the cold construction itself (bit-identical
+    views), and the same monotone position scan repairs each affected
+    root's times {e and reachability} jointly, seeded at the spliced,
+    dropped and delay-edited arc instances (the structural change
+    cone).  The one fallback: an edit that moves the {e border set} itself
     (changing which events carry initial activity) invalidates the
     prepared roots and is answered by a cold analysis
     ([whatif/structural_cold]); everything else is warm
@@ -76,9 +75,9 @@ type stats = {
 
 type t
 (** A prepared base: graph, unfolding, base report, and the per-root
-    occurrence-time and reachability tables retained from the base
-    simulations (b arrays of n floats — for very large unfoldings,
-    budget roughly [8 * b * instance_count] bytes). *)
+    occurrence-time tables retained from the base simulations, which
+    also record reachability (b arrays of n floats — for very large
+    unfoldings, budget roughly [8 * b * instance_count] bytes). *)
 
 val prepare :
   ?deadline:Tsg_engine.Deadline.t -> ?periods:int -> ?jobs:int -> Signal_graph.t -> t

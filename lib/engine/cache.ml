@@ -2,9 +2,11 @@
 
    The list is ordered by recency (head = most recently used); every
    hit splices its node to the head, every insertion beyond capacity
-   drops the tail.  All operations take the cache mutex; the only
-   user-supplied code that runs under it is nothing — [find_or_add]
-   computes outside the lock. *)
+   drops the tail.  All operations take the cache mutex; no
+   user-supplied code runs under it — [find_or_add] computes outside
+   the lock, with the key marked in flight so concurrent callers of
+   the same key wait for that one computation instead of repeating
+   it. *)
 
 type 'v node = {
   key : string;
@@ -23,6 +25,8 @@ type 'v t = {
   mutable misses : int;
   mutable evictions : int;
   mutex : Mutex.t;
+  in_flight : (string, unit) Hashtbl.t;  (* keys being computed by [find_or_add] *)
+  settled : Condition.t;  (* broadcast when an in-flight key settles *)
 }
 
 type stats = {
@@ -45,6 +49,8 @@ let create ?(metrics_prefix = "cache") ~capacity () =
     misses = 0;
     evictions = 0;
     mutex = Mutex.create ();
+    in_flight = Hashtbl.create 8;
+    settled = Condition.create ();
   }
 
 let capacity t = t.cap
@@ -91,9 +97,8 @@ let evict_tail t =
     t.evictions <- t.evictions + 1;
     Metrics.incr (t.prefix ^ "/evictions")
 
-let find t key =
-  Tsg_obs.Failpoint.hit "cache/lookup";
-  locked t @@ fun () ->
+(* a lookup under the mutex, counted as a hit or a miss *)
+let lookup t key =
   match Hashtbl.find_opt t.tbl key with
   | Some n ->
     touch t n;
@@ -107,26 +112,59 @@ let find t key =
     Tsg_obs.Trace.instant (t.prefix ^ "/miss") ~args:[ ("key", key) ];
     None
 
-let add t key v =
-  if t.cap > 0 then
-    locked t @@ fun () ->
-    match Hashtbl.find_opt t.tbl key with
-    | Some n ->
-      n.value <- v;
-      touch t n
-    | None ->
-      if Hashtbl.length t.tbl >= t.cap then evict_tail t;
-      let n = { key; value = v; prev = None; next = None } in
-      Hashtbl.replace t.tbl key n;
-      push_front t n
+let find t key =
+  Tsg_obs.Failpoint.hit "cache/lookup";
+  locked t (fun () -> lookup t key)
 
-let find_or_add t key compute =
-  match find t key with
-  | Some v -> v
+(* caller holds the mutex *)
+let insert t key v =
+  match Hashtbl.find_opt t.tbl key with
+  | Some n ->
+    n.value <- v;
+    touch t n
   | None ->
-    let v = compute () in
-    add t key v;
+    if Hashtbl.length t.tbl >= t.cap then evict_tail t;
+    let n = { key; value = v; prev = None; next = None } in
+    Hashtbl.replace t.tbl key n;
+    push_front t n
+
+let add t key v = if t.cap > 0 then locked t (fun () -> insert t key v)
+
+(* single flight: a caller that finds [key] in flight waits for it to
+   settle and then looks again, so concurrent callers of one missing
+   key compute it once and the others count as hits.  A computation
+   that raises caches nothing, and its waiters retry — one of them
+   becomes the next computer.  (With no storage there is nothing to
+   wait for.) *)
+let find_or_add t key compute =
+  Tsg_obs.Failpoint.hit "cache/lookup";
+  let cached =
+    locked t @@ fun () ->
+    while t.cap > 0 && Hashtbl.mem t.in_flight key do
+      Condition.wait t.settled t.mutex
+    done;
+    let v = lookup t key in
+    if Option.is_none v && t.cap > 0 then Hashtbl.replace t.in_flight key ();
     v
+  in
+  match cached with
+  | Some v -> v
+  | None when t.cap = 0 -> compute ()
+  | None ->
+    let settle f =
+      locked t (fun () ->
+          f ();
+          Hashtbl.remove t.in_flight key;
+          Condition.broadcast t.settled)
+    in
+    (match compute () with
+    | v ->
+      settle (fun () -> insert t key v);
+      v
+    | exception exn ->
+      let bt = Printexc.get_raw_backtrace () in
+      settle ignore;
+      Printexc.raise_with_backtrace exn bt)
 
 let remove t key =
   locked t @@ fun () ->

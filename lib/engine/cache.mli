@@ -41,10 +41,12 @@ val add : 'v t -> string -> 'v -> unit
 val find_or_add : 'v t -> string -> (unit -> 'v) -> 'v
 (** [find_or_add t key compute] is [find t key], computing and
     inserting the value on a miss.  [compute] runs outside the cache
-    lock, so concurrent callers of the same missing key may compute it
-    more than once (last insert wins) but never block one another;
-    exceptions from [compute] propagate and leave the cache
-    unchanged. *)
+    lock, and only once for concurrent callers of the same missing
+    key: the others wait for it and are then answered from the cache
+    (counted as hits).  Callers of other keys never wait.  Exceptions
+    from [compute] propagate and leave the cache unchanged; a caller
+    that was waiting on that computation retries it.  A cache of
+    capacity [0] computes on every call. *)
 
 val remove : 'v t -> string -> unit
 (** Drop one entry (a no-op if absent).  Not counted as an eviction. *)

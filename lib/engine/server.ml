@@ -413,16 +413,21 @@ let call ?(retries = 0) ?(backoff_ms = 50.) ?timeout_s ~endpoint requests =
       (fun () ->
         List.map
           (fun request ->
-            output_string oc request;
-            output_char oc '\n';
-            flush oc;
-            match input_line ic with
+            match
+              output_string oc request;
+              output_char oc '\n';
+              flush oc;
+              input_line ic
+            with
             | line -> line
             | exception End_of_file ->
               failwith "Server.call: connection closed before a response arrived"
             | exception Sys_error msg ->
-              (* a SO_RCVTIMEO expiry surfaces as Sys_error through the
-                 channel layer; report it like any other call failure *)
+              (* the channel layer reports socket errors as Sys_error on
+                 both sides: a SO_RCVTIMEO expiry on the read, a broken
+                 pipe on the write when the daemon has just refused or
+                 dropped the connection.  Report them like any other
+                 call failure *)
               failwith ("Server.call: " ^ msg))
           requests)
   in

@@ -123,7 +123,10 @@ val call :
 (** [call ~endpoint requests] connects to a serving daemon, sends each
     request line in turn — writing one line, then reading its response
     line — and returns the responses in order.  Raises [Failure] if
-    the server closes the connection before answering everything.
+    the server closes the connection before answering everything, on
+    the read or on the write side (a daemon at its connection limit
+    refuses a connection it has accepted, possibly while the request is
+    still being written), and [Unix.Unix_error] if it cannot connect.
     This is the client used by [tsa client] and the tests.
 
     [retries] (default 0) re-attempts a {e failed connection}

@@ -8,21 +8,30 @@ type t =
   | Obj of (string * t) list
   | Raw of string
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
 let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  if not (String.exists needs_escape s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 2) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
+
+(* the C formatter [Printf] ends up in for these conversions, called
+   directly: same bytes, without parsing the format on every float *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let rec emit buf = function
   | Null -> Buffer.add_string buf "null"
@@ -31,8 +40,8 @@ let rec emit buf = function
   | Float f ->
     (* JSON has no infinities; callers encode them as null before here *)
     if Float.is_integer f && abs_float f < 1e15 then
-      Buffer.add_string buf (Printf.sprintf "%.0f" f)
-    else Buffer.add_string buf (Printf.sprintf "%.17g" f)
+      Buffer.add_string buf (format_float "%.0f" f)
+    else Buffer.add_string buf (format_float "%.17g" f)
   | String s ->
     Buffer.add_char buf '"';
     Buffer.add_string buf (escape s);

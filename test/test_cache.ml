@@ -96,6 +96,49 @@ let test_find_or_add_computes_once () =
   Alcotest.(check int) "served on hit" 100 (Cache.find_or_add c "k" compute);
   Alcotest.(check int) "one computation" 1 !computed
 
+(* N threads on one missing key: exactly one computation, and every
+   caller gets its value *)
+let test_find_or_add_single_flight () =
+  let c = Cache.create ~metrics_prefix:"test-flight" ~capacity:4 () in
+  let computed = Atomic.make 0 in
+  let compute () =
+    Atomic.incr computed;
+    Thread.delay 0.05;
+    42
+  in
+  let results = Array.make 4 0 in
+  let call i = results.(i) <- Cache.find_or_add c "k" compute in
+  let threads = List.init 4 (fun i -> Thread.create call i) in
+  List.iter Thread.join threads;
+  Alcotest.(check int) "one computation" 1 (Atomic.get computed);
+  Alcotest.(check (array int)) "every caller served" [| 42; 42; 42; 42 |] results;
+  let s = Cache.stats c in
+  Alcotest.(check int) "one miss" 1 s.Cache.misses;
+  Alcotest.(check int) "the waiters hit" 3 s.Cache.hits
+
+(* a failed computation caches nothing; a waiter retries it *)
+let test_find_or_add_failure_retried () =
+  let c = Cache.create ~metrics_prefix:"test-flight-fail" ~capacity:4 () in
+  let attempts = Atomic.make 0 in
+  let compute () =
+    if Atomic.fetch_and_add attempts 1 = 0 then begin
+      Thread.delay 0.05;
+      failwith "first attempt fails"
+    end
+    else 7
+  in
+  let failing () = try ignore (Cache.find_or_add c "k" compute) with Failure _ -> () in
+  let first = Thread.create failing () in
+  (* whether this call waits on the failing flight or arrives after it,
+     it must compute the value itself *)
+  while Atomic.get attempts = 0 do
+    Thread.yield ()
+  done;
+  Alcotest.(check int) "the waiter computes after the failure" 7
+    (Cache.find_or_add c "k" compute);
+  Thread.join first;
+  Alcotest.(check int) "two attempts" 2 (Atomic.get attempts)
+
 let test_zero_capacity_disables () =
   let c = Cache.create ~metrics_prefix:"test-zero" ~capacity:0 () in
   Cache.add c "k" 1;
@@ -183,6 +226,9 @@ let suite =
     Alcotest.test_case "replacing a key does not evict" `Quick test_lru_replace_does_not_evict;
     Alcotest.test_case "hit/miss counters (cache + metrics)" `Quick test_hit_miss_counters;
     Alcotest.test_case "find_or_add computes once" `Quick test_find_or_add_computes_once;
+    Alcotest.test_case "find_or_add is single-flight" `Quick test_find_or_add_single_flight;
+    Alcotest.test_case "find_or_add retries a failed flight" `Quick
+      test_find_or_add_failure_retried;
     Alcotest.test_case "zero capacity disables storage" `Quick test_zero_capacity_disables;
     Alcotest.test_case "clear resets entries and counters" `Quick test_clear;
     Alcotest.test_case "Batch ?cache dedups a sweep" `Quick test_batch_cache_dedups_sweep;

@@ -533,6 +533,27 @@ let test_admission_limit_overloaded () =
   done;
   Alcotest.(check bool) "admission recovered after the holder left" true !served
 
+(* a refused client still writing its request gets a broken pipe on
+   the write side; [Server.call] must report that as [Failure] (or a
+   connect-time [Unix_error]), the two failures its callers handle —
+   never as a raw [Sys_error].  The request is far larger than a socket
+   buffer, so the write is still in progress when the daemon refuses
+   the connection and closes it. *)
+let test_refused_call_fails_cleanly () =
+  with_hardened_server ~max_connections:1 ~read_timeout_s:10. @@ fun ~socket ->
+  let admitted = Metrics.count "server/connections" in
+  let holder = raw_connect socket in
+  wait_for (fun () -> Metrics.count "server/connections" > admitted);
+  let big = analyze_req (bench (String.make (1 lsl 20) 'x')) in
+  (* release the slot whatever happens, or the daemon cannot be told
+     to stop *)
+  Fun.protect ~finally:(fun () -> Unix.close holder) @@ fun () ->
+  for _ = 1 to 3 do
+    match call ~socket [ big ] with
+    | _ -> Alcotest.fail "a refused call cannot deliver a response"
+    | exception (Failure _ | Unix.Unix_error _) -> ()
+  done
+
 let test_mid_request_disconnect_is_harmless () =
   with_hardened_server @@ fun ~socket ->
   for _ = 1 to 5 do
@@ -659,6 +680,8 @@ let suite =
       test_oversized_request_rejected;
     Alcotest.test_case "server: slow loris times out" `Quick test_slow_loris_times_out;
     Alcotest.test_case "server: admission limit" `Quick test_admission_limit_overloaded;
+    Alcotest.test_case "server: refused call fails cleanly" `Quick
+      test_refused_call_fails_cleanly;
     Alcotest.test_case "server: mid-request disconnects" `Quick
       test_mid_request_disconnect_is_harmless;
     Alcotest.test_case "server: accept survives EMFILE" `Quick test_accept_survives_emfile;
