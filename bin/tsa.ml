@@ -611,38 +611,44 @@ let serve_cmd =
             | exception Cycle_time.Not_analyzable msg -> Error msg)
     in
     (* the analyze op's read path through both tiers: memory (triples,
-       shared with batch) then disk (rendered response lines).  A disk
-       hit is served as stored bytes — the byte-identity guarantee
-       makes that sound; a fresh result is written behind to both.  A
-       timed-out analysis raises before either [add] and is never
-       cached; load/analysis errors stay in memory only (they are
-       cheap to re-derive and not content-addressed facts). *)
+       shared with batch) then disk (rendered response lines).  Both
+       run inside the memory tier's single flight, so concurrent
+       misses of one key analyze once.  A disk hit is served as stored
+       bytes — the byte-identity guarantee makes that sound — and
+       leaves the flight by [Disk_hit], so memory stays unchanged and
+       a waiter re-reads the disk; a fresh result is written behind to
+       both.  A timed-out analysis raises out of the flight and is
+       never cached; load/analysis errors stay in memory only (they
+       are cheap to re-derive and not content-addressed facts). *)
+    let exception Disk_hit of string in
     let analyze_response_cached ?periods path =
       match load_model path with
       | Error msg -> Tsg_io.Rpc.error_response msg
       | Ok (name, g) -> (
         let key = cache_key ?periods name g in
-        match Tsg_engine.Cache.find cache key with
-        | Some (Ok (name, g, report)) ->
-          Tsg_io.Rpc.analyze_response ~model:name g report
-        | Some (Error msg) -> Tsg_io.Rpc.error_response msg
-        | None -> (
-          match
-            Option.bind disk_cache (fun dc -> Tsg_engine.Disk_cache.find dc key)
-          with
-          | Some response -> response
-          | None -> (
-            match Cycle_time.analyze ?periods g with
-            | report ->
-              Tsg_engine.Cache.add cache key (Ok (name, g, report));
-              let response = Tsg_io.Rpc.analyze_response ~model:name g report in
+        let written = ref None in
+        match
+          Tsg_engine.Cache.find_or_add cache key (fun () ->
               Option.iter
-                (fun dc -> Tsg_engine.Disk_cache.add dc key response)
+                (fun dc ->
+                  Option.iter
+                    (fun response -> raise (Disk_hit response))
+                    (Tsg_engine.Disk_cache.find dc key))
                 disk_cache;
-              response
-            | exception Cycle_time.Not_analyzable msg ->
-              Tsg_engine.Cache.add cache key (Error msg);
-              Tsg_io.Rpc.error_response msg)))
+              match Cycle_time.analyze ?periods g with
+              | report ->
+                let response = Tsg_io.Rpc.analyze_response ~model:name g report in
+                Option.iter (fun dc -> Tsg_engine.Disk_cache.add dc key response) disk_cache;
+                written := Some response;
+                Ok (name, g, report)
+              | exception Cycle_time.Not_analyzable msg -> Error msg)
+        with
+        | exception Disk_hit response -> response
+        | Ok (name, g, report) -> (
+          match !written with
+          | Some response -> response
+          | None -> Tsg_io.Rpc.analyze_response ~model:name g report)
+        | Error msg -> Tsg_io.Rpc.error_response msg)
     in
     (* prepared what-if bases are ~b retained float arrays each, far
        heavier than a report — a small separate LRU so repeated sweeps
@@ -1591,6 +1597,7 @@ type bench_iter = {
   bi_unfold : float;
   bi_simulate : float;
   bi_backtrack : float;
+  bi_encode : float;
 }
 
 (* the serving-tier drill: push one fixed mixed analyze/sweep request
@@ -1950,6 +1957,9 @@ let bench_cmd =
       | Ok (name, g), bi_load -> (
         match wall (fun () -> Cycle_time.analyze ~jobs g) with
         | report, bi_total ->
+          let _, bi_encode =
+            wall (fun () -> Tsg_io.Json.to_string (Tsg_io.Json_report.analysis_obj g report))
+          in
           Ok
             ( name,
               g,
@@ -1960,6 +1970,7 @@ let bench_cmd =
                 bi_unfold = Tsg_engine.Metrics.total_ms "analyze/unfold";
                 bi_simulate = Tsg_engine.Metrics.total_ms "analyze/simulate";
                 bi_backtrack = Tsg_engine.Metrics.total_ms "analyze/backtrack";
+                bi_encode;
               } )
         (* a model the algorithm does not apply to (no cycles, dead
            events) is not a benchmark failure — keep it in the snapshot
@@ -2257,6 +2268,7 @@ let bench_cmd =
                   ("unfold", J.Float (mean (fun i -> i.bi_unfold) iters));
                   ("simulate", J.Float (mean (fun i -> i.bi_simulate) iters));
                   ("backtrack", J.Float (mean (fun i -> i.bi_backtrack) iters));
+                  ("encode", J.Float (mean (fun i -> i.bi_encode) iters));
                 ] );
             ( "jobs_scaling",
               J.List
@@ -2350,8 +2362,8 @@ let bench_cmd =
     if json then print_endline rendered
     else begin
       let width = List.fold_left (fun w f -> max w (String.length f)) 5 files in
-      Fmt.pr "%-*s  %8s  %10s  %8s  %8s  %9s  %9s@." width "model" "cycle" "total(ms)"
-        "load" "unfold" "simulate" "backtrack";
+      Fmt.pr "%-*s  %8s  %10s  %8s  %8s  %9s  %9s  %8s@." width "model" "cycle" "total(ms)"
+        "load" "unfold" "simulate" "backtrack" "encode";
       List.iter
         (fun (file, outcome) ->
           match outcome with
@@ -2360,13 +2372,14 @@ let bench_cmd =
           | Ok runs ->
             let report = (fun (_, _, r, _) -> r) (List.hd runs) in
             let iters = List.map (fun (_, _, _, it) -> it) runs in
-            Fmt.pr "%-*s  %8g  %10.2f  %8.2f  %8.2f  %9.2f  %9.2f@." width file
+            Fmt.pr "%-*s  %8g  %10.2f  %8.2f  %8.2f  %9.2f  %9.2f  %8.2f@." width file
               report.Cycle_time.cycle_time
               (mean (fun i -> i.bi_total) iters)
               (mean (fun i -> i.bi_load) iters)
               (mean (fun i -> i.bi_unfold) iters)
               (mean (fun i -> i.bi_simulate) iters)
-              (mean (fun i -> i.bi_backtrack) iters))
+              (mean (fun i -> i.bi_backtrack) iters)
+              (mean (fun i -> i.bi_encode) iters))
         results;
       Fmt.pr "@.jobs scaling (simulate-phase mean ms)@.";
       Fmt.pr "%-*s" width "model";
@@ -2448,7 +2461,7 @@ let bench_cmd =
   in
   let doc =
     "Benchmark the analysis pipeline: time every model over N iterations with a \
-     per-phase breakdown (load/unfold/simulate/backtrack), a jobs-scaling pass, \
+     per-phase breakdown (load/unfold/simulate/backtrack/encode), a jobs-scaling pass, \
      a what-if sweep workload (warm-start vs cold re-analysis), a \
      whatif_structural workload (arc add/remove/mark edits repaired in the warm \
      path vs cold re-analysis), a fleet_load serving-tier workload (1 vs 3 \

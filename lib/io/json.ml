@@ -29,19 +29,38 @@ let escape s =
     Buffer.contents buf
   end
 
-(* the C formatter [Printf] ends up in for these conversions, called
-   directly: same bytes, without parsing the format on every float *)
+(* the C formatter [Printf] ends up in for [%.17g], called directly:
+   same bytes, without parsing the format on every float *)
 external format_float : string -> float -> string = "caml_format_float"
+
+(* the digits of [n <= 0], most significant first; working on the
+   non-positive side covers [min_int], whose negation overflows *)
+let rec add_nonpos_digits buf n =
+  if n <= -10 then add_nonpos_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_nonpos_digits buf i
+  end
+  else add_nonpos_digits buf (-i)
+
+(* an integral float below 1e15 is exactly an OCaml int, so its
+   digits are those of [%.0f]; the sign test keeps [-0.] as ["-0"] *)
+let add_float buf f =
+  if Float.is_integer f && abs_float f < 1e15 then begin
+    if Float.sign_bit f then Buffer.add_char buf '-';
+    add_nonpos_digits buf (-abs (int_of_float f))
+  end
+  else Buffer.add_string buf (format_float "%.17g" f)
 
 let rec emit buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f ->
-    (* JSON has no infinities; callers encode them as null before here *)
-    if Float.is_integer f && abs_float f < 1e15 then
-      Buffer.add_string buf (format_float "%.0f" f)
-    else Buffer.add_string buf (format_float "%.17g" f)
+  | Int i -> add_int buf i
+  (* JSON has no infinities; callers encode them as null before here *)
+  | Float f -> add_float buf f
   | String s ->
     Buffer.add_char buf '"';
     Buffer.add_string buf (escape s);

@@ -63,6 +63,42 @@ let histogram_obj name (s : Tsg_obs.Histogram.snapshot) =
 let histograms_obj () =
   List (List.map (fun (name, s) -> histogram_obj name s) (Tsg_engine.Metrics.histograms ()))
 
+(* the b x b sample table is most of a report's bytes: it is written
+   straight into one buffer, the bytes {!Json.to_string} would give the
+   equivalent [List]/[Obj] tree, and spliced in as [Raw] *)
+let traces_raw g (traces : Cycle_time.border_trace list) =
+  (* ~48 bytes a sample: one allocation instead of a doubling series
+     of ever larger copies of a table that reaches megabytes *)
+  let samples =
+    List.fold_left
+      (fun n (t : Cycle_time.border_trace) -> n + List.length t.Cycle_time.samples)
+      0 traces
+  in
+  let buf = Buffer.create (64 + (48 * samples)) in
+  Buffer.add_char buf '[';
+  List.iteri
+    (fun i (t : Cycle_time.border_trace) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf {|{"event":"|};
+      Buffer.add_string buf
+        (escape (Event.to_string (Signal_graph.event g t.Cycle_time.border_event)));
+      Buffer.add_string buf {|","samples":[|};
+      List.iteri
+        (fun j (s : Cycle_time.sample) ->
+          if j > 0 then Buffer.add_char buf ',';
+          Buffer.add_string buf {|{"period":|};
+          add_int buf s.Cycle_time.period;
+          Buffer.add_string buf {|,"time":|};
+          add_float buf s.Cycle_time.time;
+          Buffer.add_string buf {|,"average":|};
+          add_float buf s.Cycle_time.average;
+          Buffer.add_char buf '}')
+        t.Cycle_time.samples;
+      Buffer.add_string buf "]}")
+    traces;
+  Buffer.add_char buf ']';
+  Raw (Buffer.contents buf)
+
 let analysis_obj g (r : Cycle_time.report) =
   Obj
     [
@@ -76,26 +112,7 @@ let analysis_obj g (r : Cycle_time.report) =
             ("period", Int r.Cycle_time.critical_period);
             ("cycles", List (List.map (cycle g) r.Cycle_time.critical_cycles));
           ] );
-      ( "traces",
-        List
-          (List.map
-             (fun (t : Cycle_time.border_trace) ->
-               Obj
-                 [
-                   ("event", event_name g t.Cycle_time.border_event);
-                   ( "samples",
-                     List
-                       (List.map
-                          (fun (s : Cycle_time.sample) ->
-                            Obj
-                              [
-                                ("period", Int s.Cycle_time.period);
-                                ("time", Float s.Cycle_time.time);
-                                ("average", Float s.Cycle_time.average);
-                              ])
-                          t.Cycle_time.samples) );
-                 ])
-             r.Cycle_time.traces) );
+      ("traces", traces_raw g r.Cycle_time.traces);
     ]
 
 let analysis g (r : Cycle_time.report) =

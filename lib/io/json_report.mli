@@ -21,7 +21,10 @@ val analysis_obj : Tsg.Signal_graph.t -> Tsg.Cycle_time.report -> Json.t
 (** The same report as a {!Json} value, {e without} the [metrics]
     field — a pure function of the graph and report, so equal reports
     render to byte-identical strings.  {!Rpc} builds the [tsa serve]
-    responses out of it. *)
+    responses out of it.  The [traces] field, the b × b sample table
+    that is most of a report's bytes, is already rendered: a [Raw]
+    value written straight into one buffer, with the bytes the
+    equivalent [List]/[Obj] tree would render to. *)
 
 val batch :
   (string * Tsg.Signal_graph.t * Tsg.Cycle_time.report) Tsg_engine.Batch.entry list ->
