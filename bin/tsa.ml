@@ -8,37 +8,7 @@
 open Cmdliner
 open Tsg
 
-let builtin = function
-  | "fig1" -> Some (Tsg_circuit.Circuit_library.fig1_tsg ())
-  | "ring5" -> Some (Tsg_circuit.Circuit_library.muller_ring_tsg ~stages:5 ())
-  | "stack" -> Some (Tsg_circuit.Circuit_library.async_stack_tsg ())
-  | "gen-dense" ->
-    (* synthetic bench workload: big enough that the simulate phase
-       dominates and kernel-level wins show above timer noise *)
-    Some (Tsg_circuit.Generators.random_live_tsg ~seed:7 ~events:120 ~extra_arcs:240 ())
-  | "gen-10k" ->
-    (* scaling workloads: tens/hundreds of thousands of unfolding
-       instances but a fixed, small border (the segment-token count),
-       so the per-border-event simulations are few, heavy and uneven —
-       the shape that exposes parallel-scheduling wins and losses *)
-    Some
-      (Tsg_circuit.Generators.segmented_live_tsg ~seed:11 ~events:10_000 ~tokens:24
-         ~extra_arcs:20_000 ())
-  | "gen-100k" ->
-    Some
-      (Tsg_circuit.Generators.segmented_live_tsg ~seed:13 ~events:100_000 ~tokens:12
-         ~extra_arcs:100_000 ())
-  | _ -> None
-
-(* dialect sniffing (".marking" outside comments -> astg) lives in
-   Tsg_io.Loader, shared with batch mode and the tests *)
-let load_model path =
-  match builtin path with
-  | Some g -> Ok (path, g)
-  | None -> (
-    match Tsg_io.Loader.load_file path with
-    | Ok m -> Ok (m.Tsg_io.Loader.name, m.Tsg_io.Loader.graph)
-    | Error msg -> Error msg)
+let load_model = Tsg_io.Service.load_model
 
 let graph_of_input path =
   match load_model path with
@@ -86,9 +56,7 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-(* [--jobs 0] means "use the whole machine", uniformly across analyze,
-   batch, serve and the RPC [jobs] field *)
-let resolve_jobs j = if j <= 0 then Tsg_engine.Pool.recommended () else j
+let resolve_jobs = Tsg_io.Service.resolve_jobs
 
 let json_arg =
   let doc = "Emit machine-readable JSON instead of the textual report." in
@@ -259,85 +227,6 @@ let delta_conv =
   in
   Arg.conv (parse, print)
 
-(* wire edits -> Whatif changes, resolving event names against the
-   model.  Resolution failures are per-scenario errors: one bad name
-   must not take down the sweep (the daemon path relies on this). *)
-let changes_of_edits g edits =
-  let open Tsg_engine.Protocol in
-  let resolve = function
-    | Ev_id i -> Ok i
-    | Ev_name s -> (
-      match Event.of_string s with
-      | Error msg -> Error (Printf.sprintf "bad event %S: %s" s msg)
-      | Ok ev -> (
-        match Signal_graph.id_opt g ev with
-        | Some id -> Ok id
-        | None -> Error (Fmt.str "event %a is not in the graph" Event.pp ev)))
-  in
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | e :: rest ->
-      let* c =
-        match e with
-        | Sw_delay { sw_arc; sw_delta } ->
-          Ok (Whatif.Delay { arc = sw_arc; delta = sw_delta })
-        | Sw_add { sw_src; sw_dst; sw_delay; sw_marked } ->
-          let* src = resolve sw_src in
-          let* dst = resolve sw_dst in
-          Ok (Whatif.Add_arc { src; dst; delay = sw_delay; marked = sw_marked })
-        | Sw_remove arc -> Ok (Whatif.Remove_arc arc)
-        | Sw_mark { sw_arc; sw_marked } ->
-          Ok (Whatif.Set_marked { arc = sw_arc; marked = sw_marked })
-      in
-      go (c :: acc) rest
-  in
-  go [] edits
-
-(* one timed warm re-analysis per scenario, self-scheduled on the
-   domain pool with one scratch arena per participant; mirrors
-   Whatif.sweep but records wall-clock per item for the reports *)
-let run_sweep ?deadline ?budget_ms ~jobs base
-    (scenarios : Tsg_engine.Protocol.sweep_edit list array) =
-  let outer =
-    match deadline with Some d -> d | None -> Tsg_engine.Deadline.current ()
-  in
-  let g = Whatif.signal_graph base in
-  Parallel.map_claims ~jobs
-    ~with_ctx:(fun k -> k (Whatif.scratch base))
-    ~f:(fun sc edits ->
-      let d =
-        match budget_ms with
-        | None -> Tsg_engine.Deadline.none
-        | Some ms -> Tsg_engine.Deadline.make ~budget_ms:ms ()
-      in
-      let t0 = Unix.gettimeofday () in
-      let outcome =
-        match changes_of_edits g edits with
-        | Error _ as e -> e
-        | Ok changes -> (
-          match
-            Tsg_engine.Deadline.check outer;
-            Whatif.reanalyze_changes
-              ~deadline:(if d == Tsg_engine.Deadline.none then outer else d)
-              ~scratch:sc base changes
-          with
-          | result -> Ok result
-          | exception Tsg_engine.Deadline.Deadline_exceeded ->
-            Error
-              (Tsg_engine.Deadline.error_message
-                 (if Tsg_engine.Deadline.expired outer then outer else d))
-          | exception Invalid_argument msg -> Error msg
-          | exception Cycle_time.Not_analyzable msg ->
-            Error (Printf.sprintf "not analyzable: %s" msg))
-      in
-      {
-        Tsg_io.Rpc.edits;
-        elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000.;
-        outcome;
-      })
-    scenarios
-
 let sweep_cmd =
   let deltas_arg =
     let doc =
@@ -361,7 +250,7 @@ let sweep_cmd =
       exit 1
     | base ->
       let scenarios = Array.of_list deltas in
-      let items = run_sweep ?budget_ms:timeout_ms ~jobs base scenarios in
+      let items = Tsg_io.Service.run_sweep ?budget_ms:timeout_ms ~jobs base scenarios in
       write_trace trace;
       if json then
         print_endline (Tsg_io.Rpc.sweep_response ~model:name g (Array.to_list items))
@@ -504,6 +393,16 @@ let resolve_serve_endpoint ~socket ~tcp =
     Fmt.epr "tsa: give --socket PATH or --tcp HOST:PORT@.";
     exit 2
 
+(* the flag SIGTERM/SIGINT set to ask a daemon for a graceful drain *)
+let stop_on_signals () =
+  let stop = Atomic.make false in
+  let request_stop _ = Atomic.set stop true in
+  (try Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop)
+   with Invalid_argument _ | Sys_error _ -> ());
+  (try Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop)
+   with Invalid_argument _ | Sys_error _ -> ());
+  stop
+
 let serve_cmd =
   let cache_size_arg =
     let doc = "Capacity of the content-addressed result cache (0 disables it)." in
@@ -570,7 +469,6 @@ let serve_cmd =
       max_connections max_sweep max_request_bytes read_timeout write_timeout
       drain_timeout failpoints =
     let endpoint = resolve_serve_endpoint ~socket ~tcp in
-    let jobs = resolve_jobs jobs in
     (match failpoints with
     | None -> ()
     | Some spec -> (
@@ -583,183 +481,15 @@ let serve_cmd =
     | Some dir ->
       if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
       Tsg_obs.Trace.enable ());
-    let cache = Tsg_engine.Cache.create ~capacity:cache_size () in
-    (* the second tier: rendered analyze responses, digest-keyed, on
-       disk.  Survives restarts and is safely shared between replicas
-       because responses are byte-identical by construction — any
-       replica's answer is every replica's answer. *)
-    let disk_cache =
-      Option.map
-        (fun dir -> Tsg_engine.Disk_cache.create ~capacity:disk_cache_size ~dir ())
-        cache_dir
-    in
-    (* the cache key is the graph's content (declaration-order
-       independent), the model name and the requested horizon — two
-       files with identical content hit the same entry, an edited
-       file misses and is re-analyzed *)
-    let cache_key ?periods name g =
-      Printf.sprintf "%s|%s|%s" (Signal_graph.digest g) name
-        (match periods with None -> "b" | Some n -> string_of_int n)
-    in
-    let analyze_cached ?periods path =
-      match load_model path with
-      | Error msg -> Error msg
-      | Ok (name, g) ->
-        Tsg_engine.Cache.find_or_add cache (cache_key ?periods name g) (fun () ->
-            match Cycle_time.analyze ?periods g with
-            | report -> Ok (name, g, report)
-            | exception Cycle_time.Not_analyzable msg -> Error msg)
-    in
-    (* the analyze op's read path through both tiers: memory (triples,
-       shared with batch) then disk (rendered response lines).  Both
-       run inside the memory tier's single flight, so concurrent
-       misses of one key analyze once.  A disk hit is served as stored
-       bytes — the byte-identity guarantee makes that sound — and
-       leaves the flight by [Disk_hit], so memory stays unchanged and
-       a waiter re-reads the disk; a fresh result is written behind to
-       both.  A timed-out analysis raises out of the flight and is
-       never cached; load/analysis errors stay in memory only (they
-       are cheap to re-derive and not content-addressed facts). *)
-    let exception Disk_hit of string in
-    let analyze_response_cached ?periods path =
-      match load_model path with
-      | Error msg -> Tsg_io.Rpc.error_response msg
-      | Ok (name, g) -> (
-        let key = cache_key ?periods name g in
-        let written = ref None in
-        match
-          Tsg_engine.Cache.find_or_add cache key (fun () ->
-              Option.iter
-                (fun dc ->
-                  Option.iter
-                    (fun response -> raise (Disk_hit response))
-                    (Tsg_engine.Disk_cache.find dc key))
-                disk_cache;
-              match Cycle_time.analyze ?periods g with
-              | report ->
-                let response = Tsg_io.Rpc.analyze_response ~model:name g report in
-                Option.iter (fun dc -> Tsg_engine.Disk_cache.add dc key response) disk_cache;
-                written := Some response;
-                Ok (name, g, report)
-              | exception Cycle_time.Not_analyzable msg -> Error msg)
-        with
-        | exception Disk_hit response -> response
-        | Ok (name, g, report) -> (
-          match !written with
-          | Some response -> response
-          | None -> Tsg_io.Rpc.analyze_response ~model:name g report)
-        | Error msg -> Tsg_io.Rpc.error_response msg)
-    in
-    (* prepared what-if bases are ~b retained float arrays each, far
-       heavier than a report — a small separate LRU so repeated sweeps
-       of the same model warm-start instantly without letting bases
-       crowd out the analysis cache *)
-    let whatif_cache = Tsg_engine.Cache.create ~metrics_prefix:"whatif-cache" ~capacity:8 () in
-    let prepared_base ?periods path =
-      match load_model path with
-      | Error msg -> Error msg
-      | Ok (name, g) ->
-        Tsg_engine.Cache.find_or_add whatif_cache (cache_key ?periods name g)
-          (fun () ->
-            match Whatif.prepare ?periods g with
-            | base -> Ok (name, base)
-            | exception Cycle_time.Not_analyzable msg -> Error msg)
-    in
-    (* the endpoint as actually bound — for Tcp {port = 0} the kernel
-       picks the port; on_ready stores it before any client is
-       accepted, so the stats handler can report this replica's shard
-       identity *)
-    let bound_endpoint = ref endpoint in
-    let handler line =
-      match Tsg_engine.Protocol.parse_request line with
-      | Error msg ->
-        Tsg_engine.Server.Reply (Tsg_io.Rpc.error_response ~code:"bad_request" msg)
-      | Ok (Tsg_engine.Protocol.Analyze { path; periods; timeout_ms }) ->
-        Tsg_engine.Server.Reply
-          ((* the request's budget wraps load + analyze; a timed-out
-              analysis is reported structurally and never cached, so a
-              retry with a larger budget can still succeed *)
-           let d =
-             match timeout_ms with
-             | None -> Tsg_engine.Deadline.none
-             | Some ms -> Tsg_engine.Deadline.make ~budget_ms:ms ()
-           in
-           match
-             Tsg_engine.Deadline.with_deadline d (fun () ->
-                 analyze_response_cached ?periods path)
-           with
-          | response -> response
-          | exception Tsg_engine.Deadline.Deadline_exceeded ->
-            Tsg_io.Rpc.error_response ~code:"deadline_exceeded"
-              (Tsg_engine.Deadline.error_message d))
-      | Ok (Tsg_engine.Protocol.Batch { paths; periods; jobs = req_jobs; timeout_ms })
-        ->
-        let jobs = match req_jobs with Some j -> resolve_jobs j | None -> jobs in
-        let entries =
-          Tsg_engine.Batch.run ~jobs ?deadline_ms:timeout_ms ~label:Fun.id
-            ~f:(analyze_cached ?periods) paths
-        in
-        Tsg_engine.Server.Reply (Tsg_io.Rpc.batch_response entries)
-      | Ok
-          (Tsg_engine.Protocol.Sweep
-             { path; scenarios; periods; jobs = req_jobs; timeout_ms }) ->
-        Tsg_engine.Server.Reply
-          (if List.length scenarios > max_sweep then
-             Tsg_io.Rpc.error_response ~code:"too_large"
-               (Printf.sprintf "sweep of %d scenarios exceeds --max-sweep %d"
-                  (List.length scenarios) max_sweep)
-           else
-             (* the budget bounds the base preparation too: a sweep
-                whose prepare times out is reported structurally and
-                never cached, exactly like a timed-out analysis *)
-             let d =
-               match timeout_ms with
-               | None -> Tsg_engine.Deadline.none
-               | Some ms -> Tsg_engine.Deadline.make ~budget_ms:ms ()
-             in
-             match
-               Tsg_engine.Deadline.with_deadline d (fun () -> prepared_base ?periods path)
-             with
-             | Error msg -> Tsg_io.Rpc.error_response msg
-             | exception Tsg_engine.Deadline.Deadline_exceeded ->
-               Tsg_io.Rpc.error_response ~code:"deadline_exceeded"
-                 (Tsg_engine.Deadline.error_message d)
-             | Ok (name, base) ->
-               let jobs = match req_jobs with Some j -> resolve_jobs j | None -> jobs in
-               (* structural scenarios never invalidate the prepared
-                  base: re-analysis leaves it untouched, so the LRU
-                  entry stays live across the whole sweep and across
-                  subsequent sweeps of the same model *)
-               let scens = Array.of_list scenarios in
-               let items = run_sweep ?budget_ms:timeout_ms ~jobs base scens in
-               Tsg_io.Rpc.sweep_response ~model:name (Whatif.signal_graph base)
-                 (Array.to_list items))
-      | Ok Tsg_engine.Protocol.Stats ->
-        Tsg_engine.Server.Reply
-          (Tsg_io.Rpc.stats_response ~cache:(Tsg_engine.Cache.stats cache)
-             ?disk_cache:(Option.map Tsg_engine.Disk_cache.stats disk_cache)
-             ~transport:
-               (match endpoint with
-               | Tsg_engine.Server.Unix_socket _ -> "unix"
-               | Tsg_engine.Server.Tcp _ -> "tcp")
-             ~shard:
-               (match shard with
-               | Some label -> label
-               | None -> Tsg_engine.Server.endpoint_to_string !bound_endpoint)
-             ())
-      | Ok Tsg_engine.Protocol.Shutdown ->
-        Tsg_engine.Server.Final (Tsg_io.Rpc.shutdown_response ())
+    let service =
+      Tsg_io.Service.Replica.create
+        { endpoint; shard; cache_size; cache_dir; disk_cache_size; jobs; max_sweep }
     in
     (* SIGTERM/SIGINT request a graceful drain: stop accepting, let
        in-flight requests finish (up to --drain-timeout), then exit *)
-    let stop = Atomic.make false in
-    let request_stop _ = Atomic.set stop true in
-    (try Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop)
-     with Invalid_argument _ | Sys_error _ -> ());
-    (try Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop)
-     with Invalid_argument _ | Sys_error _ -> ());
+    let stop = stop_on_signals () in
     let on_ready ep =
-      bound_endpoint := ep;
+      Tsg_io.Service.Replica.on_ready service ep;
       let name = Tsg_engine.Server.endpoint_to_string ep in
       let transport, stop_hint =
         match ep with
@@ -779,10 +509,11 @@ let serve_cmd =
     match
       Tsg_engine.Server.serve ~max_connections ~max_request_bytes
         ~read_timeout_s:read_timeout ~write_timeout_s:write_timeout
-        ~drain_timeout_s:drain_timeout ~stop ~on_ready ~endpoint ~handler ()
+        ~drain_timeout_s:drain_timeout ~stop ~on_ready ~endpoint
+        ~handler:(Tsg_io.Service.Replica.handler service) ()
     with
     | () ->
-      Option.iter Tsg_engine.Disk_cache.close disk_cache;
+      Tsg_io.Service.Replica.close service;
       Fmt.epr "tsa: server stopped@.";
       (match trace_dir with
       | None -> ()
@@ -812,6 +543,23 @@ let serve_cmd =
       $ disk_cache_size_arg $ shard_arg $ jobs_arg $ trace_dir_arg
       $ max_connections_arg $ max_sweep_arg $ max_request_bytes_arg
       $ read_timeout_arg $ write_timeout_arg $ drain_timeout_arg $ failpoints_arg)
+
+let parse_endpoint_list spec =
+  let eps =
+    String.split_on_char ',' spec
+    |> List.filter (fun s -> String.trim s <> "")
+    |> List.map (fun s ->
+           match Tsg_engine.Server.endpoint_of_string (String.trim s) with
+           | Ok ep -> ep
+           | Error msg ->
+             Fmt.epr "tsa: bad endpoint %S: %s@." s msg;
+             exit 2)
+  in
+  if eps = [] then begin
+    Fmt.epr "tsa: --endpoints names no endpoints@.";
+    exit 2
+  end;
+  eps
 
 let client_cmd =
   let files_arg =
@@ -961,45 +709,16 @@ let client_cmd =
         Fmt.epr "tsa: %s@." msg;
         exit 1)
     | None, Some spec, None ->
-      let eps =
-        String.split_on_char ',' spec
-        |> List.filter (fun s -> String.trim s <> "")
-        |> List.map (fun s ->
-               match Tsg_engine.Server.endpoint_of_string (String.trim s) with
-               | Ok ep -> ep
-               | Error msg ->
-                 Fmt.epr "tsa: bad endpoint %S: %s@." s msg;
-                 exit 2)
-      in
-      if eps = [] then begin
-        Fmt.epr "tsa: --endpoints names no endpoints@.";
-        exit 2
-      end;
+      let eps = parse_endpoint_list spec in
       let router = Tsg_engine.Router.create ~retries ?probe_ms eps in
       Fun.protect ~finally:(fun () -> Tsg_engine.Router.close router) @@ fun () ->
-      (* the routing key is the model's content digest — the exact key
-         the replica caches hash on, so each replica's cache
-         concentrates on its slice of the keyspace.  An unloadable
-         model routes on its path; the daemon reports the load error
-         as the response. *)
-      let digest_of path =
-        match load_model path with
-        | Ok (_, g) -> Signal_graph.digest g
-        | Error _ -> path
-      in
-      let routing_key = function
-        | Analyze { path; _ } | Sweep { path; _ } -> Some (digest_of path)
-        | Batch { paths; _ } -> (
-          match paths with
-          | [ p ] -> Some (digest_of p)
-          | _ -> Some (String.concat "," paths))
-        | Stats | Shutdown -> None (* fleet-wide: broadcast *)
-      in
       let failures = ref 0 in
       List.iter
         (fun req ->
           let line = request_to_string req in
-          match routing_key req with
+          (* an unloadable model routes on its path; the daemon reports
+             the load error as the response *)
+          match Tsg_io.Service.routing_key req with
           | Some key -> (
             match Tsg_engine.Router.route router ~key line with
             | Ok response -> print_endline response
@@ -1048,23 +767,6 @@ let client_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* The proxy tier: the whole fleet behind one address                  *)
-
-let parse_endpoint_list spec =
-  let eps =
-    String.split_on_char ',' spec
-    |> List.filter (fun s -> String.trim s <> "")
-    |> List.map (fun s ->
-           match Tsg_engine.Server.endpoint_of_string (String.trim s) with
-           | Ok ep -> ep
-           | Error msg ->
-             Fmt.epr "tsa: bad endpoint %S: %s@." s msg;
-             exit 2)
-  in
-  if eps = [] then begin
-    Fmt.epr "tsa: --endpoints names no endpoints@.";
-    exit 2
-  end;
-  eps
 
 let proxy_cmd =
   let listen_arg =
@@ -1155,137 +857,43 @@ let proxy_cmd =
         Fmt.epr "tsa: bad --listen %S: %s@." listen msg;
         exit 2
     in
-    let eps = parse_endpoint_list endpoints in
-    (* the shared cache is opened for stale reads only — the proxy
-       never writes it (replicas own the write-behind) *)
-    let stale =
-      Option.map (fun dir -> Tsg_engine.Disk_cache.create ~dir ()) cache_dir
-    in
-    (* retries:0 — the proxy owns the retry policy (budgeted, breaker-
-       gated); Server.call-level retries underneath it would multiply
-       load invisibly, the exact storm the budget exists to kill *)
-    let router = Tsg_engine.Router.create ~retries:0 eps in
-    let hedging =
-      match hedge_ms with
-      | None -> Tsg_engine.Proxy.Auto
-      | Some ms when ms <= 0. -> Tsg_engine.Proxy.Off
-      | Some ms -> Tsg_engine.Proxy.Fixed_ms ms
-    in
-    let proxy =
+    let endpoints = parse_endpoint_list endpoints in
+    let service =
       try
-        Tsg_engine.Proxy.create ~breaker_window ~breaker_failures
-          ~breaker_cooldown_ms ~retry_ratio:retry_budget ~hedging ~queue_depth
-          ~max_concurrent ~upstream_timeout_s:upstream_timeout ?stale router
+        Tsg_io.Service.Proxy.create
+          {
+            listen = listen_ep;
+            endpoints;
+            cache_dir;
+            retry_budget;
+            hedge_ms;
+            queue_depth;
+            max_concurrent;
+            breaker_window;
+            breaker_failures;
+            breaker_cooldown_ms;
+            upstream_timeout;
+          }
       with Invalid_argument msg ->
         Fmt.epr "tsa: %s@." msg;
         exit 2
     in
-    (* the routing key is the model's content digest — the same key the
-       client-side router and the replica caches use, so the proxy's
-       shard choice agrees with every other participant's.  The cache
-       key (degraded path) reproduces the daemon's exact disk-cache key
-       for analyze requests; sweeps and batches are never disk-cached *)
-    let digest_of path =
-      match load_model path with
-      | Ok (_, g) -> Signal_graph.digest g
-      | Error _ -> path
-    in
-    let classify req =
-      let open Tsg_engine.Protocol in
-      match req with
-      | Analyze { path; periods; timeout_ms } ->
-        let key, cache_key =
-          match load_model path with
-          | Ok (name, g) ->
-            let digest = Signal_graph.digest g in
-            ( digest,
-              Some
-                (Printf.sprintf "%s|%s|%s" digest name
-                   (match periods with
-                   | None -> "b"
-                   | Some n -> string_of_int n)) )
-          | Error _ -> (path, None)
-        in
-        `Forward (key, cache_key, true, timeout_ms)
-      | Sweep { path; timeout_ms; _ } ->
-        `Forward (digest_of path, None, true, timeout_ms)
-      | Batch { paths; timeout_ms; _ } ->
-        let key =
-          match paths with
-          | [ p ] -> digest_of p
-          | _ -> String.concat "," paths
-        in
-        (* batches fan out heavy work on the shard pool: correct to
-           replay but wasteful to duplicate, so they are not hedged *)
-        `Forward (key, None, false, timeout_ms)
-      | Stats -> `Stats
-      | Shutdown -> `Shutdown
-    in
-    let bound_endpoint = ref listen_ep in
-    let handler line =
-      match Tsg_engine.Protocol.parse_request line with
-      | Error msg ->
-        Tsg_engine.Server.Reply (Tsg_io.Rpc.error_response ~code:"bad_request" msg)
-      | Ok req -> (
-        match classify req with
-        | `Stats ->
-          Tsg_engine.Server.Reply
-            (Tsg_io.Rpc.stats_response
-               ?disk_cache:(Option.map Tsg_engine.Disk_cache.stats stale)
-               ~transport:
-                 (match listen_ep with
-                 | Tsg_engine.Server.Unix_socket _ -> "unix"
-                 | Tsg_engine.Server.Tcp _ -> "tcp")
-               ~shard:(Tsg_engine.Server.endpoint_to_string !bound_endpoint)
-               ~proxy:(Tsg_engine.Proxy.stats proxy, Tsg_engine.Router.stats router)
-               ())
-        | `Shutdown ->
-          (* the proxy is the fleet's one address: shutting it down
-             drains the shards behind it too (failures ignored — a
-             dead shard is already down) *)
-          ignore (Tsg_engine.Router.broadcast router line);
-          Tsg_engine.Server.Final (Tsg_io.Rpc.shutdown_response ())
-        | `Forward (key, cache_key, idempotent, timeout_ms) ->
-          let deadline_at =
-            Option.map
-              (fun ms -> Unix.gettimeofday () +. (ms /. 1000.))
-              timeout_ms
-          in
-          Tsg_engine.Server.Reply
-            (match
-               Tsg_engine.Proxy.forward proxy ~key ?cache_key ?deadline_at
-                 ~idempotent line
-             with
-            | Tsg_engine.Proxy.Fresh response -> response
-            | Tsg_engine.Proxy.Degraded (payload, _age) ->
-              Tsg_engine.Proxy.mark_degraded payload
-            | Tsg_engine.Proxy.Shed (code, msg) ->
-              Tsg_io.Rpc.error_response ~code msg
-            | Tsg_engine.Proxy.Failed msg ->
-              Tsg_io.Rpc.error_response ~code:"unavailable" msg))
-    in
-    let stop = Atomic.make false in
-    let request_stop _ = Atomic.set stop true in
-    (try Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop)
-     with Invalid_argument _ | Sys_error _ -> ());
-    (try Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop)
-     with Invalid_argument _ | Sys_error _ -> ());
+    let stop = stop_on_signals () in
     let on_ready ep =
-      bound_endpoint := ep;
+      Tsg_io.Service.Proxy.on_ready service ep;
       Fmt.epr "tsa: proxy on %s fronting %d shards%s@."
         (Tsg_engine.Server.endpoint_to_string ep)
-        (Tsg_engine.Router.shard_count router)
+        (List.length endpoints)
         (match cache_dir with
         | Some dir -> Printf.sprintf ", degraded mode from %s" dir
         | None -> "")
     in
     match
-      Tsg_engine.Server.serve ~max_connections ~stop ~on_ready
-        ~endpoint:listen_ep ~handler ()
+      Tsg_engine.Server.serve ~max_connections ~stop ~on_ready ~endpoint:listen_ep
+        ~handler:(Tsg_io.Service.Proxy.handler service) ()
     with
     | () ->
-      Option.iter Tsg_engine.Disk_cache.close stale;
-      Tsg_engine.Router.close router;
+      Tsg_io.Service.Proxy.close service;
       Fmt.epr "tsa: proxy stopped@."
     | exception Unix.Unix_error (err, fn, arg) ->
       Fmt.epr "tsa: cannot serve on %s: %s (%s %s)@."
@@ -1649,12 +1257,7 @@ let run_fleet_load () =
   let lines =
     Array.init n_requests (fun i ->
         let m = models.(i mod Array.length models) in
-        let key =
-          match load_model m with
-          | Ok (_, g) -> Signal_graph.digest g
-          | Error _ -> m
-        in
-        (key, request_to_string (request_of i m), i land 1 = 0))
+        (Tsg_io.Service.digest_of m, request_to_string (request_of i m), i land 1 = 0))
   in
   let with_fleet n f =
     let members =
@@ -1776,12 +1379,7 @@ let run_proxy_load () =
   let lines =
     Array.init n_requests (fun i ->
         let m = models.(i mod Array.length models) in
-        let key =
-          match load_model m with
-          | Ok (_, g) -> Signal_graph.digest g
-          | Error _ -> m
-        in
-        (key, request_to_string (request_of i m), i land 1 = 0))
+        (Tsg_io.Service.digest_of m, request_to_string (request_of i m), i land 1 = 0))
   in
   let with_fleet f =
     let members =
@@ -2032,7 +1630,7 @@ let bench_cmd =
     let sweep_stats =
       if not (selected "whatif_sweep") then None
       else begin
-        let g = Option.get (builtin "gen-dense") in
+        let g = Option.get (Tsg_io.Service.builtin "gen-dense") in
         let arcs = Signal_graph.arc_count g in
         let base, sw_prepare_ms = wall (fun () -> Whatif.prepare g) in
         let scenarios =
@@ -2086,7 +1684,7 @@ let bench_cmd =
     let structural_stats =
       if not (selected "whatif_structural") then None
       else begin
-        let g = Option.get (builtin "gen-dense") in
+        let g = Option.get (Tsg_io.Service.builtin "gen-dense") in
         let events = Signal_graph.event_count g in
         let arcs = Signal_graph.arcs g in
         let chords =

@@ -137,44 +137,6 @@ let prepare ?deadline ?periods ?(jobs = 1) g =
 (* ------------------------------------------------------------------ *)
 (* Edits                                                               *)
 
-let edited_delays t edits =
-  let m = Array.length t.base_delays in
-  let delays = Array.copy t.base_delays in
-  let touched = Hashtbl.create 8 in
-  List.iter
-    (fun { arc; delta } ->
-      if arc < 0 || arc >= m then
-        invalid_arg
-          (Printf.sprintf "Whatif: arc id %d out of range (the graph has %d arcs)"
-             arc m);
-      if not (Float.is_finite delta) then
-        invalid_arg (Printf.sprintf "Whatif: arc %d: delta must be finite" arc);
-      delays.(arc) <- delays.(arc) +. delta;
-      Hashtbl.replace touched arc ())
-    edits;
-  (* duplicate edits of one arc fold into a single delta; a sum that
-     lands back on the base delay is no edit at all *)
-  let changed =
-    Hashtbl.fold
-      (fun a () acc ->
-        if delays.(a) <> t.base_delays.(a) then begin
-          if not (Float.is_finite delays.(a)) || delays.(a) < 0. then
-            invalid_arg
-              (Printf.sprintf
-                 "Whatif: arc %d: edited delay %g is invalid (delays must be \
-                  finite and >= 0)"
-                 a delays.(a));
-          a :: acc
-        end
-        else acc)
-      touched []
-  in
-  (delays, List.sort compare changed)
-
-let edited_graph t edits =
-  let delays, _ = edited_delays t edits in
-  Signal_graph.with_delays t.g delays
-
 (* A scenario of [change]s is classified once, up front, into either a
    pure delay re-spelling of the base graph (the existing warm kernel
    applies unchanged) or a structural edit carrying the edited graph
@@ -301,6 +263,8 @@ let edited_graph_changes t changes =
   match apply_changes t changes with
   | Ap_delay (delays, _) -> Signal_graph.with_delays t.g delays
   | Ap_structural (g', _, _) -> g'
+
+let edited_graph t edits = edited_graph_changes t (List.map (fun e -> Delay e) edits)
 
 (* ------------------------------------------------------------------ *)
 (* The warm kernel: incremental longest-path repair.
@@ -678,36 +642,42 @@ let reanalyze ?deadline ?scratch t edits =
 (* ------------------------------------------------------------------ *)
 (* Sweeps                                                              *)
 
-let sweep_changes ?deadline ?budget_ms ?(jobs = 1) t scenarios =
+let sweep_with ?deadline ?budget_ms ?(jobs = 1) t ~f scenarios =
   let outer =
     match deadline with Some d -> d | None -> Tsg_engine.Deadline.current ()
   in
   Parallel.map_claims ~jobs
     ~with_ctx:(fun k -> k (scratch t))
-    ~f:(fun sc changes ->
-      (* each scenario gets its own budget (Batch semantics): one
-         pathological edit times out alone instead of starving the
-         sweep.  The caller's deadline still bounds the whole run. *)
-      let d =
-        match budget_ms with
-        | None -> Tsg_engine.Deadline.none
-        | Some ms -> Tsg_engine.Deadline.make ~budget_ms:ms ()
-      in
-      match
-        Tsg_engine.Deadline.check outer;
-        reanalyze_changes
-          ~deadline:(if d == Tsg_engine.Deadline.none then outer else d)
-          ~scratch:sc t changes
-      with
-      | result -> Ok result
-      | exception Tsg_engine.Deadline.Deadline_exceeded ->
-        Error
-          (Tsg_engine.Deadline.error_message
-             (if Tsg_engine.Deadline.expired outer then outer else d))
-      | exception Invalid_argument msg -> Error msg
-      | exception Cycle_time.Not_analyzable msg ->
-        Error (Printf.sprintf "not analyzable: %s" msg))
+    ~f:(fun sc x ->
+      f
+        (fun changes ->
+          (* each scenario gets its own budget (Batch semantics): one
+             pathological edit times out alone instead of starving the
+             sweep.  The caller's deadline still bounds the whole run. *)
+          let d =
+            match budget_ms with
+            | None -> Tsg_engine.Deadline.none
+            | Some ms -> Tsg_engine.Deadline.make ~budget_ms:ms ()
+          in
+          match
+            Tsg_engine.Deadline.check outer;
+            reanalyze_changes
+              ~deadline:(if d == Tsg_engine.Deadline.none then outer else d)
+              ~scratch:sc t changes
+          with
+          | result -> Ok result
+          | exception Tsg_engine.Deadline.Deadline_exceeded ->
+            Error
+              (Tsg_engine.Deadline.error_message
+                 (if Tsg_engine.Deadline.expired outer then outer else d))
+          | exception Invalid_argument msg -> Error msg
+          | exception Cycle_time.Not_analyzable msg ->
+            Error (Printf.sprintf "not analyzable: %s" msg))
+        x)
     scenarios
+
+let sweep_changes ?deadline ?budget_ms ?jobs t scenarios =
+  sweep_with ?deadline ?budget_ms ?jobs t ~f:(fun run changes -> run changes) scenarios
 
 let sweep ?deadline ?budget_ms ?jobs t scenarios =
   sweep_changes ?deadline ?budget_ms ?jobs t

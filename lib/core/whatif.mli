@@ -188,3 +188,19 @@ val sweep_changes :
 (** {!sweep} over structural scenarios — same sharing, claiming,
     budgets and per-scenario failure isolation, with each scenario
     answered by {!reanalyze_changes}. *)
+
+val sweep_with :
+  ?deadline:Tsg_engine.Deadline.t ->
+  ?budget_ms:float ->
+  ?jobs:int ->
+  t ->
+  f:((change list -> (Cycle_time.report * stats, string) result) -> 'a -> 'b) ->
+  'a array ->
+  'b array
+(** The runner under {!sweep_changes}, for callers whose scenarios
+    need work of their own around the re-analysis (the daemon resolves
+    event names and times each scenario).  [f run x] answers scenario
+    [x]; [run changes] re-analyses [changes] on the participant's
+    {!scratch} under the per-scenario budget and the outer deadline,
+    with {!sweep_changes}'s failure mapping.  Results land at their
+    scenario's index. *)

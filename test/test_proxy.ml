@@ -131,37 +131,16 @@ let test_degraded_marker_round_trips () =
 (* ------------------------------------------------------------------ *)
 (* Live in-process shards                                              *)
 
-(* a TCP shard serving the test handler, optionally slowed and
-   optionally pinned to a port (for restart drills) *)
-let start_shard ?(delay_s = 0.) ?(port = 0) () =
-  let cache = Cache.create ~metrics_prefix:"test-proxy-shard" ~capacity:32 () in
-  let base = Test_server.make_handler cache in
-  let handler line =
+(* a TCP shard serving the shipped replica handler, optionally slowed
+   and optionally pinned to a port (for restart drills) *)
+let start_shard ?(delay_s = 0.) ?port () =
+  let wrap handler line =
     if delay_s > 0. then Thread.delay delay_s;
-    base line
+    handler line
   in
-  let bound = ref None in
-  let thread =
-    Thread.create
-      (fun () ->
-        Server.serve
-          ~on_ready:(fun ep -> bound := Some ep)
-          ~endpoint:(Server.Tcp { host = "127.0.0.1"; port })
-          ~handler ())
-      ()
-  in
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while !bound = None && Unix.gettimeofday () < deadline do
-    Thread.yield ()
-  done;
-  match !bound with
-  | None -> Alcotest.fail "shard never became ready"
-  | Some ep -> (thread, ep)
+  Test_server.start_tcp_replica ~wrap ?port ()
 
-let stop_shard (thread, ep) =
-  (try ignore (Server.call ~endpoint:ep [ {|{"op":"shutdown"}|} ])
-   with Unix.Unix_error _ | Failure _ -> ());
-  Thread.join thread
+let stop_shard = Test_server.stop_replica
 
 let with_shards ?delay_s n f =
   let shards = List.init n (fun _ -> start_shard ?delay_s ()) in
@@ -398,6 +377,81 @@ let test_chaos_kill_busiest_shard_under_load () =
   Alcotest.(check int) "every request accounted for" (n_requests + 3)
     s.Proxy.requests
 
+(* ------------------------------------------------------------------ *)
+(* The shipped proxy handler (Tsg_io.Service.Proxy)                    *)
+
+(* a proxy configured as `tsa proxy` would be with its default flags *)
+let service_proxy ?cache_dir endpoints =
+  Tsg_io.Service.Proxy.create
+    {
+      listen = Server.Tcp { host = "127.0.0.1"; port = 0 };
+      endpoints;
+      cache_dir;
+      retry_budget = 0.1;
+      hedge_ms = None;
+      queue_depth = 64;
+      max_concurrent = 32;
+      breaker_window = 16;
+      breaker_failures = 5;
+      breaker_cooldown_ms = 1000.;
+      upstream_timeout = 10.;
+    }
+
+let with_service_proxy ?cache_dir endpoints f =
+  let p = service_proxy ?cache_dir endpoints in
+  Fun.protect ~finally:(fun () -> Tsg_io.Service.Proxy.close p) @@ fun () ->
+  f (fun line -> Test_server.reply_of (Tsg_io.Service.Proxy.handler p line))
+
+let test_service_proxy_matches_replica () =
+  let requests =
+    [
+      analyze_req (bench "fig1.g");
+      analyze_req (bench "stack66.g");
+      analyze_req "no_such_file.g";
+      Protocol.request_to_string
+        (Protocol.Batch
+           {
+             paths = [ bench "fig1.g"; bench "ring5.g"; "no_such_file.g" ];
+             periods = None;
+             jobs = None;
+             timeout_ms = None;
+           });
+      Test_server.sweep_req ~jobs:None (bench "stack66.g")
+        [ [ (0, 1.5) ]; [ (1, 0.5); (2, 0.25) ]; [ (0, 0.) ]; [ (-7, 1.) ] ];
+    ]
+  in
+  List.iter
+    (fun jobs ->
+      let direct =
+        Tsg_io.Service.Replica.handler
+          (Test_server.replica ~jobs (Server.Tcp { host = "127.0.0.1"; port = 0 }))
+      in
+      let shards = List.init 2 (fun _ -> Test_server.start_tcp_replica ~jobs ()) in
+      Fun.protect ~finally:(fun () -> List.iter stop_shard shards) @@ fun () ->
+      with_service_proxy (List.map snd shards) @@ fun via_proxy ->
+      List.iter
+        (fun req ->
+          let expected = Test_server.fix_elapsed (Test_server.reply_of (direct req)) in
+          Alcotest.(check string)
+            (Printf.sprintf "proxy = replica at jobs %d: %s" jobs req)
+            expected
+            (Test_server.fix_elapsed (via_proxy req)))
+        requests)
+    [ 1; 2; 4 ]
+
+let test_service_proxy_degraded_bytes () =
+  let cache_dir = Test_server.fresh_dir "service-proxy-dc" in
+  let shards = List.init 2 (fun _ -> Test_server.start_tcp_replica ~cache_dir ()) in
+  let req = analyze_req (bench "ring5.g") in
+  with_service_proxy ~cache_dir (List.map snd shards) @@ fun via_proxy ->
+  let fresh = via_proxy req in
+  Alcotest.(check string) "fresh answer ok" "ok"
+    (Test_server.status (Test_server.parse_response fresh));
+  (* a stopped replica has drained its disk write-behind *)
+  List.iter stop_shard shards;
+  Alcotest.(check string) "every shard down: the replica's bytes, marked degraded"
+    (Proxy.mark_degraded fresh) (via_proxy req)
+
 let suite =
   [
     Alcotest.test_case "breaker: closed -> open -> half-open -> closed" `Quick
@@ -422,4 +476,8 @@ let suite =
       test_breaker_trips_and_recovers_through_forward;
     Alcotest.test_case "chaos: busiest shard dies under load" `Quick
       test_chaos_kill_busiest_shard_under_load;
+    Alcotest.test_case "shipped proxy = shipped replica, jobs 1/2/4" `Quick
+      test_service_proxy_matches_replica;
+    Alcotest.test_case "shipped proxy serves the replica's disk bytes degraded" `Quick
+      test_service_proxy_degraded_bytes;
   ]

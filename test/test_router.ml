@@ -1,6 +1,6 @@
 (* The client-side shard router: rendezvous determinism, routing over
-   a live TCP fleet (reusing test_server's handler), failover when a
-   replica dies mid-run, admission shedding and deadline refusal. *)
+   a live TCP fleet of shipped replicas, failover when a replica dies
+   mid-run, admission shedding and deadline refusal. *)
 
 open Tsg_engine
 
@@ -61,33 +61,10 @@ let test_removing_a_shard_only_moves_its_keys () =
 (* ------------------------------------------------------------------ *)
 (* A live TCP fleet (in-process replicas)                              *)
 
-let start_tcp_server () =
-  let cache = Cache.create ~metrics_prefix:"test-router" ~capacity:32 () in
-  let bound = ref None in
-  let thread =
-    Thread.create
-      (fun () ->
-        Server.serve
-          ~on_ready:(fun ep -> bound := Some ep)
-          ~endpoint:(Server.Tcp { host = "127.0.0.1"; port = 0 })
-          ~handler:(Test_server.make_handler cache) ())
-      ()
-  in
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while !bound = None && Unix.gettimeofday () < deadline do
-    Thread.yield ()
-  done;
-  match !bound with
-  | None -> Alcotest.fail "TCP replica never became ready"
-  | Some ep -> (thread, ep)
-
-let stop_server (thread, ep) =
-  (try ignore (Server.call ~endpoint:ep [ {|{"op":"shutdown"}|} ])
-   with Unix.Unix_error _ | Failure _ -> ());
-  Thread.join thread
+let stop_server = Test_server.stop_replica
 
 let with_fleet n f =
-  let servers = List.init n (fun _ -> start_tcp_server ()) in
+  let servers = List.init n (fun _ -> Test_server.start_tcp_replica ()) in
   Fun.protect
     ~finally:(fun () -> List.iter stop_server servers)
     (fun () -> f servers)
@@ -207,25 +184,8 @@ let test_probe_restores_restarted_replica () =
     | Server.Tcp { port; _ } -> port
     | _ -> Alcotest.fail "expected a TCP endpoint"
   in
-  let cache = Cache.create ~metrics_prefix:"test-router-probe" ~capacity:8 () in
-  let bound = ref None in
-  let thread =
-    Thread.create
-      (fun () ->
-        Server.serve
-          ~on_ready:(fun ep -> bound := Some ep)
-          ~endpoint:(Server.Tcp { host = "127.0.0.1"; port })
-          ~handler:(Test_server.make_handler cache) ())
-      ()
-  in
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while !bound = None && Unix.gettimeofday () < deadline do
-    Thread.yield ()
-  done;
-  (match !bound with
-  | None -> Alcotest.fail "replacement replica never became ready"
-  | Some _ -> ());
-  Fun.protect ~finally:(fun () -> stop_server (thread, List.nth eps home))
+  let revived = Test_server.start_tcp_replica ~port () in
+  Fun.protect ~finally:(fun () -> stop_server revived)
   @@ fun () ->
   (* no routing traffic from here on: recovery must come from the
      probe alone *)

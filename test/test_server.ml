@@ -1,9 +1,8 @@
 (* Integration tests of the tsa serve daemon: a real Unix-domain
-   socket, a handler wired exactly like bin/tsa.ml's, concurrent
-   clients, malformed input, and cache behaviour observed through
-   Metrics. *)
+   socket in front of the shipped handler (Tsg_io.Service.Replica),
+   concurrent clients, malformed input, and cache behaviour observed
+   through Metrics and the stats reply. *)
 
-open Tsg
 open Tsg_engine
 
 let benchmarks_dir = try Sys.getenv "BENCHMARKS" with Not_found -> "../benchmarks"
@@ -14,99 +13,69 @@ let bench file = Filename.concat benchmarks_dir file
 let call ?retries ?backoff_ms ~socket requests =
   Server.call ?retries ?backoff_ms ~endpoint:(Server.Unix_socket socket) requests
 
-(* the same composition as `tsa serve`: loader -> digest -> cache ->
-   analysis -> Rpc encoders *)
-let make_handler cache =
-  let analyze_cached path =
-    match Tsg_io.Loader.load_file path with
-    | Error msg -> Error msg
-    | Ok m ->
-      let g = m.Tsg_io.Loader.graph in
-      let key = Signal_graph.digest g in
-      Cache.find_or_add cache key (fun () ->
-          match Cycle_time.analyze g with
-          | report -> Ok (m.Tsg_io.Loader.name, g, report)
-          | exception Cycle_time.Not_analyzable msg -> Error msg)
+(* a replica configured as `tsa serve` would be from these flags *)
+let replica ?(jobs = 2) ?(max_sweep = 4096) ?cache_dir endpoint =
+  Tsg_io.Service.Replica.create
+    {
+      endpoint;
+      shard = None;
+      cache_size = 32;
+      cache_dir;
+      disk_cache_size = 64;
+      jobs;
+      max_sweep;
+    }
+
+(* serve [svc] on [endpoint] from a thread; [wrap] decorates the
+   shipped handler (e.g. to slow it down).  Returns the thread and the
+   endpoint as bound, once it is accepting. *)
+let start_replica ?(wrap = Fun.id) ~endpoint svc =
+  let bound = ref None in
+  let thread =
+    Thread.create
+      (fun () ->
+        Server.serve
+          ~on_ready:(fun ep ->
+            Tsg_io.Service.Replica.on_ready svc ep;
+            bound := Some ep)
+          ~endpoint ~handler:(wrap (Tsg_io.Service.Replica.handler svc)) ();
+        Tsg_io.Service.Replica.close svc)
+      ()
   in
-  fun line ->
-    match Protocol.parse_request line with
-    | Error msg -> Server.Reply (Tsg_io.Rpc.error_response msg)
-    | Ok (Protocol.Analyze { path; _ }) ->
-      Server.Reply
-        (match analyze_cached path with
-        | Ok (name, g, report) -> Tsg_io.Rpc.analyze_response ~model:name g report
-        | Error msg -> Tsg_io.Rpc.error_response msg)
-    | Ok (Protocol.Batch { paths; _ }) ->
-      let entries = Batch.run ~jobs:2 ~label:Fun.id ~f:analyze_cached paths in
-      Server.Reply (Tsg_io.Rpc.batch_response entries)
-    | Ok (Protocol.Sweep { path; scenarios; _ }) ->
-      Server.Reply
-        (match Tsg_io.Loader.load_file path with
-        | Error msg -> Tsg_io.Rpc.error_response msg
-        | Ok m -> (
-          let g = m.Tsg_io.Loader.graph in
-          match Whatif.prepare g with
-          | exception Cycle_time.Not_analyzable msg -> Tsg_io.Rpc.error_response msg
-          | base ->
-            let change = function
-              | Protocol.Sw_delay { sw_arc; sw_delta } ->
-                Whatif.Delay { arc = sw_arc; delta = sw_delta }
-              | Protocol.Sw_add { sw_src; sw_dst; sw_delay; sw_marked } ->
-                let ev = function
-                  | Protocol.Ev_id i -> i
-                  | Protocol.Ev_name _ -> Alcotest.fail "test handler resolves ids only"
-                in
-                Whatif.Add_arc
-                  { src = ev sw_src; dst = ev sw_dst; delay = sw_delay; marked = sw_marked }
-              | Protocol.Sw_remove arc -> Whatif.Remove_arc arc
-              | Protocol.Sw_mark { sw_arc; sw_marked } ->
-                Whatif.Set_marked { arc = sw_arc; marked = sw_marked }
-            in
-            let scens = Array.of_list scenarios in
-            let results =
-              Whatif.sweep_changes ~jobs:2 base (Array.map (List.map change) scens)
-            in
-            let items =
-              Array.to_list
-                (Array.mapi
-                   (fun i outcome ->
-                     { Tsg_io.Rpc.edits = scens.(i); elapsed_ms = 0.; outcome })
-                   results)
-            in
-            Tsg_io.Rpc.sweep_response ~model:m.Tsg_io.Loader.name g items))
-    | Ok Protocol.Stats ->
-      Server.Reply (Tsg_io.Rpc.stats_response ~cache:(Cache.stats cache) ())
-    | Ok Protocol.Shutdown -> Server.Final (Tsg_io.Rpc.shutdown_response ())
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while !bound = None && Unix.gettimeofday () < deadline do
+    Thread.yield ()
+  done;
+  match !bound with
+  | None -> Alcotest.fail "replica never became ready"
+  | Some ep -> (thread, ep)
+
+(* an in-process TCP replica, as one shard of a fleet; [port] pins it
+   (restart drills) *)
+let start_tcp_replica ?wrap ?(port = 0) ?jobs ?cache_dir () =
+  let endpoint = Server.Tcp { host = "127.0.0.1"; port } in
+  start_replica ?wrap ~endpoint (replica ?jobs ?cache_dir endpoint)
+
+let stop_replica (thread, ep) =
+  (try ignore (Server.call ~endpoint:ep [ {|{"op":"shutdown"}|} ])
+   with Unix.Unix_error _ | Failure _ -> ());
+  Thread.join thread
 
 let socket_counter = ref 0
 
-let with_server f =
+let fresh_socket prefix =
   incr socket_counter;
-  let socket =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tsa-test-%d-%d.sock" (Unix.getpid ()) !socket_counter)
-  in
-  let cache = Cache.create ~metrics_prefix:"test-server" ~capacity:32 () in
-  let server =
-    Thread.create
-      (fun () ->
-        Server.serve ~endpoint:(Server.Unix_socket socket) ~handler:(make_handler cache) ())
-      ()
-  in
-  (* wait for the daemon to bind *)
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while (not (Sys.file_exists socket)) && Unix.gettimeofday () < deadline do
-    Thread.yield ()
-  done;
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "%s-%d-%d.sock" prefix (Unix.getpid ()) !socket_counter)
+
+let with_server f =
+  let socket = fresh_socket "tsa-test" in
+  let endpoint = Server.Unix_socket socket in
+  let server = start_replica ~endpoint (replica endpoint) in
   Alcotest.(check bool) "server socket appeared" true (Sys.file_exists socket);
-  Fun.protect
-    ~finally:(fun () ->
-      (* stop the daemon if the test body has not already done so *)
-      (try ignore (call ~socket [ {|{"op":"shutdown"}|} ])
-       with Unix.Unix_error _ | Failure _ -> ());
-      Thread.join server)
-    (fun () -> f ~socket ~cache)
+  (* stop the daemon if the test body has not already done so *)
+  Fun.protect ~finally:(fun () -> stop_replica server) (fun () -> f ~socket)
 
 (* response inspection through the protocol's own JSON parser *)
 let parse_response line =
@@ -143,7 +112,7 @@ let analyze_req path =
   Protocol.request_to_string
     (Protocol.Analyze { path; periods = None; timeout_ms = None })
 
-let sweep_req path scenarios =
+let sweep_req ?(jobs = Some 2) ?timeout_ms path scenarios =
   Protocol.request_to_string
     (Protocol.Sweep
        {
@@ -154,14 +123,14 @@ let sweep_req path scenarios =
                   Protocol.Sw_delay { sw_arc = arc; sw_delta = delta }))
              scenarios;
          periods = None;
-         jobs = Some 2;
-         timeout_ms = None;
+         jobs;
+         timeout_ms;
        })
 
 (* ------------------------------------------------------------------ *)
 
 let test_round_trip () =
-  with_server @@ fun ~socket ~cache:_ ->
+  with_server @@ fun ~socket ->
   match call ~socket [ analyze_req (bench "fig1.g"); analyze_req (bench "ring5.g") ] with
   | [ fig1; ring5 ] ->
     let fig1 = parse_response fig1 and ring5 = parse_response ring5 in
@@ -172,7 +141,7 @@ let test_round_trip () =
   | other -> Alcotest.failf "expected two responses, got %d" (List.length other)
 
 let test_malformed_request_is_isolated () =
-  with_server @@ fun ~socket ~cache:_ ->
+  with_server @@ fun ~socket ->
   let requests =
     [
       "this is not json";
@@ -194,7 +163,7 @@ let test_malformed_request_is_isolated () =
   ()
 
 let test_second_request_is_a_cache_hit () =
-  with_server @@ fun ~socket ~cache ->
+  with_server @@ fun ~socket ->
   let req = analyze_req (bench "stack66.g") in
   let first =
     match call ~socket [ req ] with [ r ] -> r | _ -> Alcotest.fail "one response"
@@ -211,12 +180,16 @@ let test_second_request_is_a_cache_hit () =
   Alcotest.(check int)
     "no second analysis" analyzed_after_first
     (Metrics.count "analyze/graphs");
-  let s = Cache.stats cache in
-  Alcotest.(check bool) "a hit was recorded" true (s.Cache.hits >= 1);
+  let s =
+    match call ~socket [ {|{"op":"stats"}|} ] with
+    | [ r ] -> parse_response r
+    | _ -> Alcotest.fail "one response"
+  in
+  Alcotest.(check bool) "a hit was recorded" true (number_at [ "cache"; "hits" ] s >= 1.);
   Alcotest.(check string) "first response was ok" "ok" (status (parse_response first))
 
 let test_concurrent_clients () =
-  with_server @@ fun ~socket ~cache:_ ->
+  with_server @@ fun ~socket ->
   let files = [ "fig1.g"; "ring5.g"; "fifo2.g"; "fork_join.g" ] in
   let expected = [ 10.; 20. /. 3.; 5.; 7. ] in
   let results = Array.make (List.length files) None in
@@ -248,7 +221,7 @@ let test_concurrent_clients () =
     expected
 
 let test_batch_and_stats () =
-  with_server @@ fun ~socket ~cache:_ ->
+  with_server @@ fun ~socket ->
   let batch =
     Protocol.request_to_string
       (Protocol.Batch
@@ -276,7 +249,7 @@ let test_batch_and_stats () =
   | other -> Alcotest.failf "expected two responses, got %d" (List.length other)
 
 let test_stats_reports_latency_percentiles () =
-  with_server @@ fun ~socket ~cache:_ ->
+  with_server @@ fun ~socket ->
   (* several requests first, so the daemon has a latency distribution
      to report *)
   let n = 5 in
@@ -311,7 +284,7 @@ let test_stats_reports_latency_percentiles () =
   | other -> Alcotest.failf "expected one response, got %d" (List.length other)
 
 let test_sweep_round_trip () =
-  with_server @@ fun ~socket ~cache:_ ->
+  with_server @@ fun ~socket ->
   (* four scenarios: a real edit, a joint edit, a zero-delta no-op and
      a bad arc id — plus a plain analyze of the same model to compare
      the short-circuited item against *)
@@ -343,7 +316,7 @@ let test_sweep_round_trip () =
   | other -> Alcotest.failf "expected two responses, got %d" (List.length other)
 
 let test_structural_sweep_round_trip () =
-  with_server @@ fun ~socket ~cache:_ ->
+  with_server @@ fun ~socket ->
   (* remove arc 0 and add an identical arc back: a genuinely structural
      scenario whose answer must equal the base analysis — but arrive
      via the warm structural path, not a short-circuit (the arc ids
@@ -404,7 +377,7 @@ let test_structural_sweep_round_trip () =
   | other -> Alcotest.failf "expected two responses, got %d" (List.length other)
 
 let test_shutdown_removes_socket () =
-  with_server @@ fun ~socket ~cache:_ ->
+  with_server @@ fun ~socket ->
   (match call ~socket [ {|{"op":"shutdown"}|} ] with
   | [ resp ] -> Alcotest.(check string) "shutdown acknowledged" "ok" (status (parse_response resp))
   | _ -> Alcotest.fail "expected one response");
@@ -420,44 +393,155 @@ let test_tcp_round_trip_matches_unix () =
      responses: the transport frames bytes, it never renders them *)
   let req = analyze_req (bench "fig1.g") in
   let unix_resp =
-    with_server @@ fun ~socket ~cache:_ ->
+    with_server @@ fun ~socket ->
     match call ~socket [ req ] with [ r ] -> r | _ -> Alcotest.fail "one response"
   in
-  let cache = Cache.create ~metrics_prefix:"test-server-tcp" ~capacity:32 () in
-  let bound = ref None in
-  let server =
-    Thread.create
-      (fun () ->
-        Server.serve
-          ~on_ready:(fun ep -> bound := Some ep)
-          ~endpoint:(Server.Tcp { host = "127.0.0.1"; port = 0 })
-          ~handler:(make_handler cache) ())
-      ()
+  let ((_, ep) as server) = start_tcp_replica () in
+  Fun.protect
+    ~finally:(fun () -> stop_replica server)
+    (fun () ->
+      (match ep with
+      | Server.Tcp { port; _ } ->
+        Alcotest.(check bool) "kernel assigned a real port" true (port > 0)
+      | Server.Unix_socket _ -> Alcotest.fail "expected a TCP endpoint");
+      match Server.call ~endpoint:ep [ req; req ] with
+      | [ first; second ] ->
+        Alcotest.(check string) "ok over TCP" "ok" (status (parse_response first));
+        Alcotest.(check string) "TCP matches Unix byte-for-byte" unix_resp first;
+        Alcotest.(check string) "TCP cache hit is byte-identical" first second
+      | other -> Alcotest.failf "expected two responses, got %d" (List.length other))
+
+(* ------------------------------------------------------------------ *)
+(* The shipped handler's laws and limits                               *)
+
+(* sweep replies carry wall-clock [elapsed_ms] per item: pin every
+   value to 0 so two replies can be compared byte-for-byte *)
+let fix_elapsed reply =
+  let tag = {|"elapsed_ms":|} in
+  let n = String.length reply and k = String.length tag in
+  let b = Buffer.create n in
+  let rec go i =
+    if i >= n then ()
+    else if i + k <= n && String.sub reply i k = tag then begin
+      Buffer.add_string b tag;
+      Buffer.add_char b '0';
+      let j = ref (i + k) in
+      while !j < n && String.contains "0123456789.eE+-" reply.[!j] do
+        incr j
+      done;
+      go !j
+    end
+    else begin
+      Buffer.add_char b reply.[i];
+      go (i + 1)
+    end
   in
-  (* port 0 means the kernel picks; on_ready reports the real endpoint *)
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while !bound = None && Unix.gettimeofday () < deadline do
-    Thread.yield ()
-  done;
-  match !bound with
-  | None -> Alcotest.fail "TCP server never became ready"
-  | Some ep ->
-    Fun.protect
-      ~finally:(fun () ->
-        (try ignore (Server.call ~endpoint:ep [ {|{"op":"shutdown"}|} ])
-         with Unix.Unix_error _ | Failure _ -> ());
-        Thread.join server)
-      (fun () ->
-        (match ep with
-        | Server.Tcp { port; _ } ->
-          Alcotest.(check bool) "kernel assigned a real port" true (port > 0)
-        | Server.Unix_socket _ -> Alcotest.fail "expected a TCP endpoint");
-        match Server.call ~endpoint:ep [ req; req ] with
-        | [ first; second ] ->
-          Alcotest.(check string) "ok over TCP" "ok" (status (parse_response first));
-          Alcotest.(check string) "TCP matches Unix byte-for-byte" unix_resp first;
-          Alcotest.(check string) "TCP cache hit is byte-identical" first second
-        | other -> Alcotest.failf "expected two responses, got %d" (List.length other))
+  go 0;
+  Buffer.contents b
+
+let reply_of = function
+  | Server.Reply r | Server.Final r -> r
+
+(* [n] threads released together, each sending [line] straight to the
+   handler; the replies in thread order *)
+let race ?(n = 8) handler line =
+  let go = Atomic.make false in
+  let replies = Array.make n "" in
+  let threads =
+    List.init n (fun i ->
+        Thread.create
+          (fun () ->
+            while not (Atomic.get go) do
+              Thread.yield ()
+            done;
+            replies.(i) <- reply_of (handler line))
+          ())
+  in
+  Atomic.set go true;
+  List.iter Thread.join threads;
+  Array.to_list replies
+
+let unbound = Server.Tcp { host = "127.0.0.1"; port = 0 }
+
+let test_identical_requests_compute_once () =
+  List.iter
+    (fun jobs ->
+      let handler = Tsg_io.Service.Replica.handler (replica ~jobs unbound) in
+      let analyzed = Metrics.count "analyze/graphs" in
+      (* gen-dense takes long enough to analyze and prepare that the
+         racing threads arrive while the first is still in flight *)
+      (match race handler (analyze_req "gen-dense") with
+      | first :: rest ->
+        Alcotest.(check string) "analyze ok" "ok" (status (parse_response first));
+        List.iter (Alcotest.(check string) "analyze replies byte-identical" first) rest
+      | [] -> assert false);
+      Alcotest.(check int)
+        (Printf.sprintf "one analysis for 8 racing misses (jobs %d)" jobs)
+        (analyzed + 1)
+        (Metrics.count "analyze/graphs");
+      let prepared = Metrics.count "whatif-cache/misses" in
+      let sweep = sweep_req ~jobs:None "gen-dense" [ [ (0, 1.5) ]; [ (1, 0.5) ] ] in
+      (match List.map fix_elapsed (race handler sweep) with
+      | first :: rest ->
+        Alcotest.(check string) "sweep ok" "ok" (status (parse_response first));
+        List.iter (Alcotest.(check string) "sweep replies identical" first) rest
+      | [] -> assert false);
+      Alcotest.(check int)
+        (Printf.sprintf "one base prepared for 8 racing sweeps (jobs %d)" jobs)
+        (prepared + 1)
+        (Metrics.count "whatif-cache/misses"))
+    [ 1; 2; 4 ]
+
+let code_of reply =
+  match Protocol.member "code" (parse_response reply) with
+  | Some (Protocol.String c) -> c
+  | _ -> Alcotest.failf "reply without an error code: %s" reply
+
+let test_sweep_limits () =
+  let handler = Tsg_io.Service.Replica.handler (replica ~max_sweep:2 unbound) in
+  let ask line = reply_of (handler line) in
+  Alcotest.(check string) "a sweep above max_sweep is refused" "too_large"
+    (code_of (ask (sweep_req (bench "fig1.g") [ [ (0, 1.) ]; [ (1, 1.) ]; [ (2, 1.) ] ])));
+  let sweep ?timeout_ms () = sweep_req ?timeout_ms (bench "stack66.g") [ [ (0, 1.5) ] ] in
+  Alcotest.(check string) "a base preparation past its budget times out"
+    "deadline_exceeded"
+    (code_of (ask (sweep ~timeout_ms:0.001 ())));
+  (* the timed-out preparation was not cached: without a budget the
+     same sweep prepares and answers *)
+  Alcotest.(check string) "the unbudgeted retry succeeds" "ok"
+    (status (parse_response (ask (sweep ()))))
+
+let fresh_dir name =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tsa-test-%s-%d" name (Unix.getpid ()))
+  in
+  (try
+     Array.iter
+       (fun f -> try Unix.unlink (Filename.concat dir f) with Unix.Unix_error _ -> ())
+       (Sys.readdir dir)
+   with Sys_error _ -> ());
+  dir
+
+let test_restart_reads_the_disk_tier () =
+  let cache_dir = fresh_dir "service-dc" in
+  let req = analyze_req (bench "ring5.g") in
+  let first = replica ~cache_dir unbound in
+  let written = reply_of (Tsg_io.Service.Replica.handler first req) in
+  Alcotest.(check string) "first answer ok" "ok" (status (parse_response written));
+  (* close drains the write-behind queue, as a stopping daemon does *)
+  Tsg_io.Service.Replica.close first;
+  let restarted = replica ~cache_dir unbound in
+  Fun.protect ~finally:(fun () -> Tsg_io.Service.Replica.close restarted) @@ fun () ->
+  let handler = Tsg_io.Service.Replica.handler restarted in
+  let analyzed = Metrics.count "analyze/graphs" in
+  Alcotest.(check string) "the restarted replica serves the stored bytes" written
+    (reply_of (handler req));
+  Alcotest.(check int) "no analysis ran" analyzed (Metrics.count "analyze/graphs");
+  let stats = parse_response (reply_of (handler {|{"op":"stats"}|})) in
+  Alcotest.(check bool) "disk_cache hits went up" true
+    (number_at [ "disk_cache"; "hits" ] stats >= 1.)
 
 let suite =
   [
@@ -476,4 +560,10 @@ let suite =
     Alcotest.test_case "TCP round-trip matches Unix byte-for-byte" `Quick
       test_tcp_round_trip_matches_unix;
     Alcotest.test_case "shutdown removes the socket" `Quick test_shutdown_removes_socket;
+    Alcotest.test_case "identical racing requests compute once" `Quick
+      test_identical_requests_compute_once;
+    Alcotest.test_case "sweep limits: max_sweep and prepare deadline" `Quick
+      test_sweep_limits;
+    Alcotest.test_case "a restarted replica reads the disk tier" `Quick
+      test_restart_reads_the_disk_tier;
   ]
