@@ -61,11 +61,11 @@ val analyze :
     [jobs] (default 1) runs the [b] independent event-initiated
     simulations on that many domains — the algorithm's outer loop is
     embarrassingly parallel.  The simulations go through
-    {!Timing_sim.simulate_many} (per-domain scratch arenas, windowed
-    scans, simulations self-scheduled one claim at a time with the
-    heaviest window first rather than pre-split into contiguous
-    chunks); backtracking re-runs the single critical simulation, so a
-    trace shows [b + 1] [longest_paths] spans.  The report — down to
+    {!Timing_sim.simulate_many} (lane passes of up to 8 border events
+    over one topological scan, self-scheduled one pass per claim with
+    the heaviest window first); backtracking re-runs the single
+    critical simulation, so a trace shows one [longest_paths] span per
+    lane pass plus one ([⌈b/8⌉ + 1] at any [jobs]).  The report — down to
     the byte, when serialised — is independent of [jobs].
 
     @raise Not_analyzable on a graph without repetitive events. *)

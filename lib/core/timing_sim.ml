@@ -8,8 +8,8 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* Scratch arenas                                                      *)
 
-(* The kernel below runs once per border event and dominates the
-   O(b^2 m) algorithm, so it must not allocate: all per-query state
+(* The single-root kernel below (full simulations, the backtrack's
+   re-run, what-if repairs) must not allocate: all per-query state
    lives in an epoch-stamped arena that is reused across queries.  A
    node is part of the current query iff its stamp equals the arena's
    epoch, so starting a new query is one integer increment — no
@@ -63,8 +63,8 @@ module Workspace = struct
 
   let trim t = if capacity t > retained_capacity then resize t retained_capacity
 
-  (* One arena per domain, so pool workers keep theirs across every
-     border event (and every analysis) they ever process, plus a small
+  (* One arena per domain, so a domain keeps its arena across every
+     query (and every analysis) it ever runs, plus a small
      free list of spares for the contended case: daemon systhreads
      sharing the domain used to allocate a brand-new full-size arena on
      every collision.  The spare list is shared by those systhreads,
@@ -229,17 +229,152 @@ let materialise (ws : Workspace.t) u =
   { time; pred_instance; pred_arc; reached }
 
 (* ------------------------------------------------------------------ *)
+(* Lane rows                                                           *)
+
+(* [simulate_many] relaxes up to [lanes] roots in one pass: the times
+   of a pass live in lane-major rows, instance [v] owning the [lanes]
+   contiguous floats (64 bytes) from [v * lanes], so each in-arc's
+   source, arc id and delay are loaded once for every lane.  The
+   stride is fixed so the lane loop can be unrolled into register
+   accumulators; a pass with fewer roots leaves its spare lanes at
+   [neg_infinity], computed alongside in the same row.  The rows are
+   a [Bigarray]: a long-lived arena of this size on the major heap
+   inflates the GC's heap target (and with it peak RSS), an off-heap
+   one does not. *)
+type rows = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let lanes = 8
+
+module Lanes = struct
+  type t = { mutable rows : rows; lock : Mutex.t }
+
+  (* released rows shrink back under this many floats (8 MiB), the
+     same per-domain bound as [Workspace.retained_capacity] *)
+  let retained_capacity = 1 lsl 20
+
+  let alloc n : rows = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
+
+  let key : t Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> { rows = alloc 0; lock = Mutex.create () })
+
+  (* one arena per domain, held for a participant's whole claim loop;
+     a contended one (a sibling systhread, or a nested batch) is not
+     waited for: the caller gets private rows the GC reclaims *)
+  let with_rows len f =
+    let slot = Domain.DLS.get key in
+    if Mutex.try_lock slot.lock then
+      Fun.protect
+        ~finally:(fun () ->
+          if Bigarray.Array1.dim slot.rows > retained_capacity then slot.rows <- alloc 0;
+          Mutex.unlock slot.lock)
+      @@ fun () ->
+      if Bigarray.Array1.dim slot.rows >= len then
+        Tsg_engine.Metrics.incr "kernel/arenas_reused"
+      else begin
+        slot.rows <- alloc len;
+        Tsg_engine.Metrics.incr "kernel/arenas_created"
+      end;
+      f slot.rows
+    else begin
+      Tsg_engine.Metrics.incr "kernel/arenas_fallback";
+      f (alloc len)
+    end
+end
+
+(* One topological pass for the (at most [lanes]) roots [ats], sorted
+   by topo position, one lane each.  Unreached is [neg_infinity]: an
+   unreached source adds [neg_infinity] to a maximum, i.e. nothing, so
+   no stamps are needed.  A lane's first reached in-arc sets its value
+   and later arcs must be strictly greater, in the order of the
+   single-root kernel, so every lane is bit-identical to [kernel] on
+   its root.  A root's lane is forced to [0.] at the root's own
+   position; rows before the lowest root are never relaxed and read
+   [neg_infinity] in every lane.  No predecessors are tracked: callers
+   only read times, and backtracking re-runs the one root it needs
+   through [kernel]. *)
+let lane_pass ~deadline ~(delays : float array) (rows : rows) u ~(ats : int array) =
+  let topo = Unfolding.topological_order u in
+  let pos = Unfolding.topo_position u in
+  let starts, srcs, arc_ids = Unfolding.in_adjacency u in
+  let len = Array.length topo in
+  let from_pos = pos.(ats.(0)) in
+  for k = 0 to from_pos - 1 do
+    let b = topo.(k) * lanes in
+    for l = 0 to lanes - 1 do
+      Bigarray.Array1.unsafe_set rows (b + l) neg_infinity
+    done
+  done;
+  let next = ref 0 in
+  let k0 = ref from_pos in
+  while !k0 < len do
+    Tsg_engine.Deadline.check deadline;
+    let hi = min len (!k0 + check_block) in
+    for k = !k0 to hi - 1 do
+      let v = topo.(k) in
+      let t0 = ref neg_infinity and t1 = ref neg_infinity in
+      let t2 = ref neg_infinity and t3 = ref neg_infinity in
+      let t4 = ref neg_infinity and t5 = ref neg_infinity in
+      let t6 = ref neg_infinity and t7 = ref neg_infinity in
+      for j = starts.(v) to starts.(v + 1) - 1 do
+        let s = srcs.(j) * lanes in
+        let dl = delays.(arc_ids.(j)) in
+        (* unrolled by hand: a local helper would capture the
+           accumulators and box them *)
+        let d = Bigarray.Array1.unsafe_get rows s +. dl in
+        if d > !t0 then t0 := d;
+        let d = Bigarray.Array1.unsafe_get rows (s + 1) +. dl in
+        if d > !t1 then t1 := d;
+        let d = Bigarray.Array1.unsafe_get rows (s + 2) +. dl in
+        if d > !t2 then t2 := d;
+        let d = Bigarray.Array1.unsafe_get rows (s + 3) +. dl in
+        if d > !t3 then t3 := d;
+        let d = Bigarray.Array1.unsafe_get rows (s + 4) +. dl in
+        if d > !t4 then t4 := d;
+        let d = Bigarray.Array1.unsafe_get rows (s + 5) +. dl in
+        if d > !t5 then t5 := d;
+        let d = Bigarray.Array1.unsafe_get rows (s + 6) +. dl in
+        if d > !t6 then t6 := d;
+        let d = Bigarray.Array1.unsafe_get rows (s + 7) +. dl in
+        if d > !t7 then t7 := d
+      done;
+      let b = v * lanes in
+      Bigarray.Array1.unsafe_set rows b !t0;
+      Bigarray.Array1.unsafe_set rows (b + 1) !t1;
+      Bigarray.Array1.unsafe_set rows (b + 2) !t2;
+      Bigarray.Array1.unsafe_set rows (b + 3) !t3;
+      Bigarray.Array1.unsafe_set rows (b + 4) !t4;
+      Bigarray.Array1.unsafe_set rows (b + 5) !t5;
+      Bigarray.Array1.unsafe_set rows (b + 6) !t6;
+      Bigarray.Array1.unsafe_set rows (b + 7) !t7;
+      while !next < Array.length ats && ats.(!next) = v do
+        Bigarray.Array1.unsafe_set rows (b + !next) 0.;
+        incr next
+      done
+    done;
+    k0 := hi
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Borrowed views                                                      *)
 
-type view = { vw : Workspace.t; vn : int }
+type view = { rows : rows; lane : int; n : int }
+
+let lane_time v i = Bigarray.Array1.unsafe_get v.rows ((i * lanes) + v.lane)
 
 let view_time v i =
-  if i < v.vn && v.vw.Workspace.stamp.(i) = v.vw.Workspace.epoch then
-    v.vw.Workspace.time.(i)
-  else 0.
+  if i < 0 || i >= v.n then 0.
+  else
+    let t = lane_time v i in
+    if t = neg_infinity then 0. else t
 
-let view_reached v i =
-  i < v.vn && v.vw.Workspace.stamp.(i) = v.vw.Workspace.epoch
+let view_reached v i = i >= 0 && i < v.n && lane_time v i > neg_infinity
+
+let view_lane v =
+  let a = Array.create_float v.n in
+  for i = 0 to v.n - 1 do
+    a.(i) <- lane_time v i
+  done;
+  a
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
@@ -275,55 +410,68 @@ let simulate ?deadline u =
   kernel ?deadline ws u ~roots:(Unfolding.initial_instances u) ~from_pos:0;
   materialise ws u
 
-let initiated_into ?deadline ?delays ws u ~at =
+let simulate_initiated ?deadline ?delays u ~at =
   let from_pos = (Unfolding.topo_position u).(at) in
   Tsg_engine.Metrics.incr "simulations/initiated";
   observe_window u ~from_pos;
-  Tsg_obs.Trace.with_span "longest_paths" ~args:(span_args u ~at ~from_pos)
-  @@ fun () -> kernel ?deadline ?delays ws u ~roots:[ at ] ~from_pos
-
-let simulate_initiated ?deadline ?delays u ~at =
   Workspace.with_arena (Unfolding.instance_count u) @@ fun ws ->
-  initiated_into ?deadline ?delays ws u ~at;
+  Tsg_obs.Trace.with_span "longest_paths" ~args:(span_args u ~at ~from_pos) (fun () ->
+      kernel ?deadline ?delays ws u ~roots:[ at ] ~from_pos);
   materialise ws u
 
-let simulate_many ?deadline ?(jobs = 1) u ~roots ~f =
+let simulate_many ?(deadline = Tsg_engine.Deadline.none) ?delays ?(jobs = 1) u ~roots ~f =
+  let delays = match delays with Some d -> d | None -> Unfolding.delays u in
   let nroots = Array.length roots in
   if nroots = 0 then [||]
   else begin
     let n = Unfolding.instance_count u in
-    (* self-scheduling workers: each participant acquires its domain
-       arena once (the [with_ctx] bracket), then claims border events
-       one at a time from a shared atomic index — no tail chunk to
-       serialize behind, no per-chunk arena set-up.  Claims are
-       size-ordered, heaviest window first (smallest topo position =
-       largest scan), so a straggler simulation starts early instead
-       of landing last on one worker while the others drain small
-       items and idle. *)
-    let order =
-      if jobs <= 1 || nroots <= 1 then None
-      else begin
-        let pos = Unfolding.topo_position u in
-        let idx = Array.init nroots Fun.id in
-        Array.sort
-          (fun a b ->
-            let c = compare pos.(roots.(a)) pos.(roots.(b)) in
-            if c <> 0 then c else compare a b)
-          idx;
-        Some idx
-      end
+    let pos = Unfolding.topo_position u in
+    (* roots sorted by topo position and cut into passes of [lanes]: a
+       pass scans from its lowest root, so neighbours share a window,
+       and passes come heaviest (lowest start) first — the claim order
+       of [map_claims] *)
+    let rank = Array.init nroots Fun.id in
+    Array.stable_sort (fun a b -> compare pos.(roots.(a)) pos.(roots.(b))) rank;
+    let batches =
+      Array.init ((nroots + lanes - 1) / lanes) (fun p ->
+          Array.sub rank (p * lanes) (min lanes (nroots - (p * lanes))))
     in
-    (* the deadline is shared by every participant: when it trips,
-       each raises at its next per-claim check (the kernel checks at
-       the top of every window) and Parallel.map_claims propagates the
-       smallest failing index after all claims settle — the pool
-       itself stays healthy and reusable *)
-    Parallel.map_claims ~jobs ?order
-      ~with_ctx:(fun k -> Workspace.with_arena n k)
-      ~f:(fun ws at ->
-        initiated_into ?deadline ws u ~at;
-        f at { vw = ws; vn = n })
-      roots
+    let run rows batch =
+      let ats = Array.map (fun i -> roots.(i)) batch in
+      let from_pos = pos.(ats.(0)) in
+      (* the counters keep their per-root meaning: a pass accounts
+         each lane as the single-root scan from that lane's root *)
+      Tsg_engine.Metrics.incr ~by:(Array.length ats) "simulations/initiated";
+      Array.iter (fun at -> observe_window u ~from_pos:pos.(at)) ats;
+      let args =
+        if Tsg_obs.Trace.enabled () then
+          [
+            ("roots", string_of_int (Array.length ats));
+            ("scanned", string_of_int (n - from_pos));
+            ("total", string_of_int n);
+          ]
+        else []
+      in
+      Tsg_obs.Trace.with_span "longest_paths" ~args (fun () ->
+          lane_pass ~deadline ~delays rows u ~ats);
+      let out = Array.mapi (fun lane at -> f at { rows; lane; n }) ats in
+      (* a deadline tripped inside [f] fails this pass, not just the
+         passes still unclaimed *)
+      Tsg_engine.Deadline.check deadline;
+      out
+    in
+    (* the deadline is shared by every participant: each raises at its
+       next check, and Parallel.map_claims propagates the smallest
+       failing index after all claims settle — the pool itself stays
+       healthy and reusable *)
+    let results =
+      Parallel.map_claims ~jobs
+        ~with_ctx:(fun k -> Lanes.with_rows (n * lanes) k)
+        ~f:run batches
+    in
+    let out = Array.make nroots results.(0).(0) in
+    Array.iteri (fun s i -> out.(i) <- results.(s / lanes).(s mod lanes)) rank;
+    out
   end
 
 (* ------------------------------------------------------------------ *)

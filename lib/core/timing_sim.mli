@@ -27,12 +27,13 @@ type result = {
 
 (** {1 Scratch arenas}
 
-    The kernel is zero-allocation: all per-query state lives in an
-    epoch-stamped workspace that is reused from query to query (no
-    clearing pass — bumping the epoch invalidates every stamp at
-    once).  One arena is kept per domain via [Domain.DLS], so pool
-    workers running {!simulate_many} chunks pay the allocation once
-    and reuse it across every border event they ever process. *)
+    The single-root kernel of {!simulate} and {!simulate_initiated} is
+    zero-allocation: all per-query state lives in an epoch-stamped
+    workspace that is reused from query to query (no clearing pass —
+    bumping the epoch invalidates every stamp at once).  One arena is
+    kept per domain via [Domain.DLS].  {!simulate_many} does not use
+    it: its lane rows live in a separate per-domain arena off the OCaml
+    heap (see there). *)
 
 module Workspace : sig
   type t
@@ -61,15 +62,20 @@ module Workspace : sig
 end
 
 type view
-(** A borrowed, read-only view of a simulation result living in a
-    {!Workspace} arena.  Only valid during the callback that received
-    it — the arena is reused for the next query. *)
+(** A borrowed, read-only view of one root's times in a
+    {!simulate_many} pass: a lane of the pass's lane-major rows.  Only
+    valid during the callback that received it — the rows are reused
+    by the next pass. *)
 
 val view_time : view -> int -> float
 (** Occurrence time of an instance; [0.] if unreached (matching
     {!result}[.time]). *)
 
 val view_reached : view -> int -> bool
+
+val view_lane : view -> float array
+(** A fresh copy of the whole lane: occurrence time per instance id,
+    [neg_infinity] where the root does not reach. *)
 
 val simulate : ?deadline:Tsg_engine.Deadline.t -> Unfolding.t -> result
 (** The timing simulation [t] of the whole unfolding.  The topological
@@ -110,8 +116,12 @@ val simulate_initiated :
     instance is reached iff it is the root or an in-arc from a reached
     instance feeds it. *)
 
+val lanes : int
+(** Roots relaxed together in one {!simulate_many} pass (8). *)
+
 val simulate_many :
   ?deadline:Tsg_engine.Deadline.t ->
+  ?delays:float array ->
   ?jobs:int ->
   Unfolding.t ->
   roots:int array ->
@@ -119,18 +129,36 @@ val simulate_many :
   'a array
 (** [simulate_many u ~roots ~f] runs one [root]-initiated simulation
     per element of [roots] and returns [f root view] for each, in
-    [roots] order.  With [jobs > 1] the roots are {e self-scheduled}
-    over {!Parallel.map_claims}: each participating domain acquires
-    its arena once, then claims roots one at a time from a shared
-    index, heaviest simulation window first (by
-    {!Unfolding.topo_position} of the root — the cheap static cost
-    estimate), so unevenly sized simulations never serialize into a
-    tail chunk and only the values returned by [f] are allocated per
-    query.  The shared [deadline] is checked once per claim (at the
-    top of every kernel window), which amortises cancellation to
-    nothing while keeping latency one simulation at most.  [f] must
-    not retain its [view] (the arena is recycled for the next root)
-    and must be safe to run concurrently when [jobs > 1]. *)
+    [roots] order; every view reads exactly what {!simulate_initiated}
+    on that root returns, bit for bit.
+
+    The simulations are {e lane-batched}: the roots, sorted by
+    {!Unfolding.topo_position}, are cut into passes of 8, and one pass
+    in topological order relaxes all of its roots at once, starting at
+    its lowest root.  A pass's times live in lane-major rows (instance
+    [v] owns 8 contiguous floats, one per lane), so each in-arc is read
+    once for all lanes, and the lane loop runs in registers.
+    [delays] substitutes the per-arc delays as for
+    {!simulate_initiated} (what-if re-simulates over the base
+    unfolding this way).  With
+    [jobs > 1] the [ceil(b / 8)] passes are self-scheduled over
+    {!Parallel.map_claims}, heaviest (lowest start) first.
+
+    The rows are a [Bigarray] of [8 n] floats (off the OCaml heap, so
+    they do not raise the GC's heap target), one arena per domain,
+    held for a participant's whole claim loop and dropped on release
+    if larger than 8 MiB; a contended arena (a sibling systhread, a
+    nested batch) is not waited for — the caller gets private rows
+    instead.
+
+    Per root, [simulations/initiated] counts one and
+    [kernel/instances_scanned] the single-root window, as for
+    {!simulate_initiated}; a trace shows one [longest_paths] span per
+    pass, with [roots], [scanned] and [total] arguments.  The shared
+    [deadline] is checked once per 4096 topo positions of a pass and
+    once more after the pass's callbacks.  [f] is called once per
+    root, in no particular order, after its pass; it must not retain
+    its [view] and must be safe to run concurrently when [jobs > 1]. *)
 
 val occurrence_times : Unfolding.t -> result -> event:int -> float array
 (** [occurrence_times u r ~event] is the array of [t(e_i)] for

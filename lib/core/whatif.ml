@@ -83,17 +83,8 @@ let prepare ?deadline ?periods ?(jobs = 1) g =
   let captures =
     Timing_sim.simulate_many ~deadline ~jobs u ~roots ~f:(fun at view ->
         let g0, _ = Unfolding.event_of_instance u at in
-        let times =
-          Array.init n (fun i ->
-              if Timing_sim.view_reached view i then Timing_sim.view_time view i
-              else neg_infinity)
-        in
-        let trace =
-          Cycle_time.Internal.trace_of_times
-            (fun i -> Timing_sim.view_time view i)
-            u periods g0
-        in
-        (times, trace))
+        ( Timing_sim.view_lane view,
+          Cycle_time.Internal.trace_of_times (Timing_sim.view_time view) u periods g0 ))
   in
   let base_times = Array.map fst captures in
   let base_traces = Array.map snd captures in
@@ -314,7 +305,7 @@ let affected t ~idx changed =
     (fun a -> Array.exists (fun s -> bt.(s) > neg_infinity) t.arc_inst_srcs.(a))
     changed
 
-let resim ~deadline t sc ~idx ~delays changed =
+let resim ~deadline ~budget t sc ~idx ~delays changed =
   let u = t.u in
   let topo = Unfolding.topological_order u in
   let pos = Unfolding.topo_position u in
@@ -353,7 +344,7 @@ let resim ~deadline t sc ~idx ~delays changed =
      Unfolding over [0, n)), so the hot loop reads unchecked. *)
   let steps = ref 0 in
   let k = ref !lo in
-  while !pending > 0 do
+  while !pending > 0 && !steps <= budget do
     if !k land 8191 = 0 then Tsg_engine.Deadline.check deadline;
     (if Array.unsafe_get dirty !k = epoch then begin
        decr pending;
@@ -385,7 +376,8 @@ let resim ~deadline t sc ~idx ~delays changed =
      end);
     incr k
   done;
-  Tsg_engine.Metrics.incr ~by:!steps "whatif/instances_repaired"
+  Tsg_engine.Metrics.incr ~by:!steps "whatif/instances_repaired";
+  !steps <= budget
 
 (* ------------------------------------------------------------------ *)
 (* The structural warm kernel.
@@ -413,7 +405,7 @@ let structural_affected t ~idx seeds =
   let bt = t.base_times.(idx) in
   Array.exists (fun (s, _) -> bt.(s) > neg_infinity) seeds
 
-let resim_structural ~deadline t sc ~idx u' ~seeds =
+let resim_structural ~deadline ~budget t sc ~idx u' ~seeds =
   let topo = Unfolding.topological_order u' in
   let pos = Unfolding.topo_position u' in
   let in_starts, in_srcs, in_arcs = Unfolding.in_adjacency u' in
@@ -445,7 +437,7 @@ let resim_structural ~deadline t sc ~idx u' ~seeds =
     seeds;
   let steps = ref 0 in
   let k = ref !lo in
-  while !pending > 0 do
+  while !pending > 0 && !steps <= budget do
     if !k land 8191 = 0 then Tsg_engine.Deadline.check deadline;
     (if Array.unsafe_get dirty !k = epoch then begin
        decr pending;
@@ -482,7 +474,8 @@ let resim_structural ~deadline t sc ~idx u' ~seeds =
      end);
     incr k
   done;
-  Tsg_engine.Metrics.incr ~by:!steps "whatif/instances_repaired"
+  Tsg_engine.Metrics.incr ~by:!steps "whatif/instances_repaired";
+  !steps <= budget
 
 (* ------------------------------------------------------------------ *)
 (* Re-analysis                                                         *)
@@ -499,37 +492,77 @@ let cold ~deadline t g' =
   let report = Cycle_time.analyze ~deadline ~periods:t.periods g' in
   (report, { reused = 0; resimulated = Array.length t.border_arr; path = Cold })
 
-let warm_delay ~deadline sc t ~delays ~changed g' =
-  let reused = ref 0 in
+(* The affected roots' new Delta tables.  A repair costs about one
+   relaxation per dirty instance; a lane pass one per instance of its
+   window, shared by [Timing_sim.lanes] roots.  So each affected root
+   is repaired with a budget of [1 / lanes] of its window; the first
+   repair to overrun it is abandoned, and that root and every later
+   affected one are re-simulated in lane passes over [u] (with
+   [delays] when the edit left [u]'s structure alone).  One edit
+   casts much the same cone below every root, so the first large cone
+   decides.  [repair i ~budget] repairs border index [i] and returns
+   its trace, or [None] past [budget] dirty instances. *)
+let affected_traces ~deadline t u ?delays ~affected ~repair () =
+  let n = Unfolding.instance_count u in
+  let pos = Unfolding.topo_position u in
+  let traces = Array.copy t.base_traces in
   let resimulated = ref 0 in
-  let traces_arr =
-    Array.mapi
-      (fun i g0 ->
-        Tsg_engine.Deadline.check deadline;
-        if not (affected t ~idx:i changed) then begin
-          incr reused;
-          t.base_traces.(i)
-        end
-        else begin
-          incr resimulated;
-          resim ~deadline t sc ~idx:i ~delays changed;
-          let epoch = sc.s_epoch in
-          let bt = t.base_times.(i) in
-          let time_of v =
-            reported (if sc.s_stamp.(v) = epoch then sc.s_new.(v) else bt.(v))
-          in
-          Cycle_time.Internal.trace_of_times time_of t.u t.periods g0
-        end)
-      t.border_arr
+  let lane_idx = ref [] in
+  Array.iteri
+    (fun i root ->
+      Tsg_engine.Deadline.check deadline;
+      if affected i then begin
+        incr resimulated;
+        let repaired =
+          if !lane_idx <> [] then None
+          else repair i ~budget:((n - pos.(root)) / Timing_sim.lanes)
+        in
+        match repaired with
+        | Some trace -> traces.(i) <- trace
+        | None -> lane_idx := i :: !lane_idx
+      end)
+    t.roots;
+  (match Array.of_list (List.rev !lane_idx) with
+  | [||] -> ()
+  | lane_idx ->
+    Tsg_engine.Metrics.incr ~by:(Array.length lane_idx) "whatif/lane_resimulated";
+    let fresh =
+      Timing_sim.simulate_many ~deadline ?delays u
+        ~roots:(Array.map (fun i -> t.roots.(i)) lane_idx)
+        ~f:(fun at view ->
+          let g0, _ = Unfolding.event_of_instance u at in
+          Cycle_time.Internal.trace_of_times (Timing_sim.view_time view) u t.periods g0)
+    in
+    Array.iteri (fun k i -> traces.(i) <- fresh.(k)) lane_idx);
+  let resimulated = !resimulated in
+  let reused = Array.length t.roots - resimulated in
+  Tsg_engine.Metrics.incr ~by:reused "whatif/reused";
+  Tsg_engine.Metrics.incr ~by:resimulated "whatif/resimulated";
+  (Array.to_list traces, { reused; resimulated; path = Warm })
+
+(* the repaired times of root [idx]: the scratch where this epoch
+   stamped them, the base run elsewhere *)
+let repaired_trace sc t u idx =
+  let epoch = sc.s_epoch in
+  let bt = t.base_times.(idx) in
+  let time_of v = reported (if sc.s_stamp.(v) = epoch then sc.s_new.(v) else bt.(v)) in
+  Cycle_time.Internal.trace_of_times time_of u t.periods t.border_arr.(idx)
+
+let warm_delay ~deadline sc t ~delays ~changed g' =
+  let traces, stats =
+    affected_traces ~deadline t t.u ~delays
+      ~affected:(fun i -> affected t ~idx:i changed)
+      ~repair:(fun i ~budget ->
+        if resim ~deadline ~budget t sc ~idx:i ~delays changed then
+          Some (repaired_trace sc t t.u i)
+        else None)
+      ()
   in
-  Tsg_engine.Metrics.incr ~by:!reused "whatif/reused";
-  Tsg_engine.Metrics.incr ~by:!resimulated "whatif/resimulated";
   let report =
     Cycle_time.Internal.finish ~deadline ~delays g' t.u ~border:t.border
-      ~periods:t.periods
-      ~traces:(Array.to_list traces_arr)
+      ~periods:t.periods ~traces
   in
-  (report, { reused = !reused; resimulated = !resimulated; path = Warm })
+  (report, stats)
 
 let warm_structural ~deadline sc t ~arc_map ~changed_delays g' =
   let u', delta = Unfolding.patch ~deadline t.u g' ~arc_map in
@@ -546,37 +579,21 @@ let warm_structural ~deadline sc t ~arc_map ~changed_delays g' =
       changed_delays
   in
   let seeds = Array.concat [ sp; dr; Array.of_list delay_seeds ] in
-  let reused = ref 0 in
-  let resimulated = ref 0 in
-  let traces_arr =
-    Array.mapi
-      (fun i g0 ->
-        Tsg_engine.Deadline.check deadline;
-        if not (structural_affected t ~idx:i seeds) then begin
-          incr reused;
-          t.base_traces.(i)
-        end
-        else begin
-          incr resimulated;
-          resim_structural ~deadline t sc ~idx:i u' ~seeds;
-          let epoch = sc.s_epoch in
-          let bt = t.base_times.(i) in
-          let time_of v =
-            reported (if sc.s_stamp.(v) = epoch then sc.s_new.(v) else bt.(v))
-          in
-          Cycle_time.Internal.trace_of_times time_of u' t.periods g0
-        end)
-      t.border_arr
+  let traces, stats =
+    affected_traces ~deadline t u'
+      ~affected:(fun i -> structural_affected t ~idx:i seeds)
+      ~repair:(fun i ~budget ->
+        if resim_structural ~deadline ~budget t sc ~idx:i u' ~seeds then
+          Some (repaired_trace sc t u' i)
+        else None)
+      ()
   in
-  Tsg_engine.Metrics.incr ~by:!reused "whatif/reused";
-  Tsg_engine.Metrics.incr ~by:!resimulated "whatif/resimulated";
   Tsg_engine.Metrics.incr "whatif/structural_warm";
   (* no [~delays] override: [u'] carries the edited graph natively *)
   let report =
-    Cycle_time.Internal.finish ~deadline g' u' ~border:t.border ~periods:t.periods
-      ~traces:(Array.to_list traces_arr)
+    Cycle_time.Internal.finish ~deadline g' u' ~border:t.border ~periods:t.periods ~traces
   in
-  (report, { reused = !reused; resimulated = !resimulated; path = Warm })
+  (report, stats)
 
 let reanalyze_changes ?deadline ?scratch:sc t changes =
   let deadline =

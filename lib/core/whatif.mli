@@ -17,6 +17,14 @@
       topological order, only the instances whose occurrence time
       actually changes ([whatif/resimulated] roots,
       [whatif/instances_repaired] instances);
+    - a repair runs on a budget of [1 / Timing_sim.lanes] of its
+      root's window: the first one to overrun it (a near-global cone,
+      which one edit casts below every root alike) is abandoned, and
+      that root and the remaining affected ones are re-simulated in
+      lane passes instead ({!Timing_sim.simulate_many} over the base
+      unfolding with the edited delays, or over the patched one;
+      [whatif/lane_resimulated]) — a lane pass relaxes 8 roots per
+      scan, cheaper than 8 near-global repairs;
     - an edit that folds back onto the base graph (zero net delta, or
       a {!Signal_graph.digest} match) short-circuits to the base
       report ([whatif/short_circuits]).

@@ -206,7 +206,7 @@ module Replica = struct
     | Error msg -> Error msg
     | Ok (name, g) ->
       Cache.find_or_add t.whatif_cache (key ?periods name g) (fun () ->
-          match Whatif.prepare ?periods g with
+          match Whatif.prepare ?periods ~jobs:t.jobs g with
           | base -> Ok (name, base)
           | exception Cycle_time.Not_analyzable msg -> Error msg)
 

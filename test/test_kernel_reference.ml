@@ -186,36 +186,87 @@ let lambda_matches_baselines g =
   Helpers.check_float "matches Howard" (Tsg_baselines.Howard.cycle_time g) lambda;
   true
 
+(* simulate_many relaxes up to 8 roots per lane pass; every lane must
+   read exactly what the stamped single-root kernel returns, and the
+   counters must keep their per-root meaning *)
 let simulate_many_matches_initiated g =
   let b = max 1 (List.length (Cut_set.border g)) in
   let u = Unfolding.make g ~periods:(b + 1) in
-  let roots =
+  let n = Unfolding.instance_count u in
+  let pos = Unfolding.topo_position u in
+  let border =
     Array.of_list
       (List.map (fun g0 -> Unfolding.instance u ~event:g0 ~period:0) (Cut_set.border g))
   in
-  let n = Unfolding.instance_count u in
+  let by_pos = Array.copy border in
+  Array.sort (fun x y -> compare pos.(y) pos.(x)) by_pos;
+  (* more than two passes' worth: every period-0 instance plus every
+     other later instance, repeated until over 16 roots *)
+  let large =
+    let n0 = Signal_graph.event_count g in
+    let base =
+      Array.append (Array.init n0 Fun.id)
+        (Array.init ((n - n0) / 2) (fun k -> n0 + (2 * k)))
+    in
+    let rec grow a = if Array.length a > 16 then a else grow (Array.append a base) in
+    grow base
+  in
+  let root_sets =
+    [
+      ("border", border);
+      ("more than 2 passes", large);
+      ("duplicates", Array.concat [ border; border; [| border.(0) |] ]);
+      ("unsorted", by_pos);
+      ("single", [| border.(Array.length border - 1) |]);
+    ]
+  in
+  let bits a = Array.map Int64.bits_of_float a in
   List.iter
-    (fun jobs ->
-      let batched =
-        Timing_sim.simulate_many ~jobs u ~roots ~f:(fun _ view ->
-            ( Array.init n (Timing_sim.view_time view),
-              Array.init n (Timing_sim.view_reached view) ))
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "one result per root at jobs %d" jobs)
-        (Array.length roots) (Array.length batched);
-      Array.iteri
-        (fun i at ->
-          let one = Timing_sim.simulate_initiated u ~at in
-          let time, reached = batched.(i) in
-          Alcotest.(check (array (float 0.)))
-            (Printf.sprintf "times of root %d at jobs %d" at jobs)
-            one.Timing_sim.time time;
-          Alcotest.(check (array bool))
-            (Printf.sprintf "reached of root %d at jobs %d" at jobs)
-            one.Timing_sim.reached reached)
-        roots)
-    [ 1; 2; 4 ];
+    (fun (set, roots) ->
+      List.iter
+        (fun jobs ->
+          let sims0 = Tsg_engine.Metrics.count "simulations/initiated" in
+          let scanned0 = Tsg_engine.Metrics.count "kernel/instances_scanned" in
+          let batched =
+            Timing_sim.simulate_many ~jobs u ~roots ~f:(fun at view ->
+                ( at,
+                  Array.init n (Timing_sim.view_time view),
+                  Array.init n (Timing_sim.view_reached view),
+                  Timing_sim.view_lane view ))
+          in
+          let label what = Printf.sprintf "%s: %s at jobs %d" set what jobs in
+          Alcotest.(check int)
+            (label "simulations/initiated counts one per root")
+            (Array.length roots)
+            (Tsg_engine.Metrics.count "simulations/initiated" - sims0);
+          Alcotest.(check int)
+            (label "kernel/instances_scanned is the per-root sum")
+            (Array.fold_left (fun acc at -> acc + n - pos.(at)) 0 roots)
+            (Tsg_engine.Metrics.count "kernel/instances_scanned" - scanned0);
+          Alcotest.(check int)
+            (label "one result per root")
+            (Array.length roots) (Array.length batched);
+          Array.iteri
+            (fun i at ->
+              let one = Timing_sim.simulate_initiated u ~at in
+              let got, time, reached, lane = batched.(i) in
+              Alcotest.(check int) (label "result lands at its root's index") at got;
+              Alcotest.(check (array int64))
+                (label (Printf.sprintf "times of root %d" at))
+                (bits one.Timing_sim.time) (bits time);
+              Alcotest.(check (array bool))
+                (label (Printf.sprintf "reached of root %d" at))
+                one.Timing_sim.reached reached;
+              Alcotest.(check (array int64))
+                (label (Printf.sprintf "lane of root %d" at))
+                (bits
+                   (Array.mapi
+                      (fun v t -> if one.Timing_sim.reached.(v) then t else neg_infinity)
+                      one.Timing_sim.time))
+                (bits lane))
+            roots)
+        [ 1; 2; 4 ])
+    root_sets;
   true
 
 (* the named models exercised by the CLI and the benchmarks *)
