@@ -8,8 +8,97 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* Scratch arenas                                                      *)
 
+(* One arena per domain, so a domain keeps its arena across every
+   query (and every analysis) it ever runs, plus a small free list of
+   spares for the contended case: daemon systhreads sharing the domain
+   would otherwise allocate a brand-new full-size arena on every
+   collision.  The spare list is shared by those systhreads, hence its
+   own lock (held for a few instructions only).  The stamped
+   [Workspace] and the lane rows of [simulate_many] both live under
+   this policy, each with its own slot. *)
+module Per_domain (A : sig
+  type t
+
+  val create : int -> t
+  val capacity : t -> int
+  val ensure : t -> int -> unit
+  val trim : t -> unit
+  val lock : t -> Mutex.t
+end) =
+struct
+  type slot = {
+    mutable arena : A.t option;
+    mutable spares : A.t list;
+    spare_lock : Mutex.t;
+  }
+
+  let max_spares = 2
+
+  let key : slot Domain.DLS.key =
+    Domain.DLS.new_key (fun () ->
+        { arena = None; spares = []; spare_lock = Mutex.create () })
+
+  let take_spare slot =
+    Mutex.lock slot.spare_lock;
+    let r =
+      match slot.spares with
+      | [] -> None
+      | a :: rest ->
+        slot.spares <- rest;
+        Some a
+    in
+    Mutex.unlock slot.spare_lock;
+    r
+
+  let put_spare slot a =
+    A.trim a;
+    Mutex.lock slot.spare_lock;
+    if List.length slot.spares < max_spares then slot.spares <- a :: slot.spares;
+    Mutex.unlock slot.spare_lock
+
+  let fit a n =
+    if A.capacity a >= n then Tsg_engine.Metrics.incr "kernel/arenas_reused"
+    else begin
+      A.ensure a n;
+      Tsg_engine.Metrics.incr "kernel/arenas_created"
+    end
+
+  let release a =
+    A.trim a;
+    Mutex.unlock (A.lock a)
+
+  let with_arena n f =
+    let slot = Domain.DLS.get key in
+    match slot.arena with
+    | Some a when Mutex.try_lock (A.lock a) ->
+      Fun.protect ~finally:(fun () -> release a) @@ fun () ->
+      fit a n;
+      f a
+    | Some _ ->
+      (* busy (nested query, or another thread of this domain): take a
+         spare rather than waiting; the [kernel/arenas_fallback]
+         counter makes this contention visible in [stats] *)
+      Tsg_engine.Metrics.incr "kernel/arenas_fallback";
+      let a =
+        match take_spare slot with
+        | Some a ->
+          fit a n;
+          a
+        | None ->
+          Tsg_engine.Metrics.incr "kernel/arenas_created";
+          A.create n
+      in
+      Fun.protect ~finally:(fun () -> put_spare slot a) (fun () -> f a)
+    | None ->
+      let a = A.create n in
+      Mutex.lock (A.lock a);
+      slot.arena <- Some a;
+      Tsg_engine.Metrics.incr "kernel/arenas_created";
+      Fun.protect ~finally:(fun () -> release a) (fun () -> f a)
+end
+
 (* The single-root kernel below (full simulations, the backtrack's
-   re-run, what-if repairs) must not allocate: all per-query state
+   re-run) must not allocate: all per-query state
    lives in an epoch-stamped arena that is reused across queries.  A
    node is part of the current query iff its stamp equals the arena's
    epoch, so starting a new query is one integer increment — no
@@ -63,88 +152,19 @@ module Workspace = struct
 
   let trim t = if capacity t > retained_capacity then resize t retained_capacity
 
-  (* One arena per domain, so a domain keeps its arena across every
-     query (and every analysis) it ever runs, plus a small
-     free list of spares for the contended case: daemon systhreads
-     sharing the domain used to allocate a brand-new full-size arena on
-     every collision.  The spare list is shared by those systhreads,
-     hence its own lock (held for a few instructions only). *)
-  type slot = {
-    mutable arena : t option;
-    mutable spares : t list;
-    spare_lock : Mutex.t;
-  }
+  let lock t = t.lock
 
-  let max_spares = 2
+  include Per_domain (struct
+    type nonrec t = t
 
-  let key : slot Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
-        { arena = None; spares = []; spare_lock = Mutex.create () })
-
-  let take_spare slot =
-    Mutex.lock slot.spare_lock;
-    let r =
-      match slot.spares with
-      | [] -> None
-      | ws :: rest ->
-        slot.spares <- rest;
-        Some ws
-    in
-    Mutex.unlock slot.spare_lock;
-    r
-
-  let put_spare slot ws =
-    trim ws;
-    Mutex.lock slot.spare_lock;
-    if List.length slot.spares < max_spares then slot.spares <- ws :: slot.spares;
-    Mutex.unlock slot.spare_lock
-
-  let acquire_spare slot n =
-    match take_spare slot with
-    | Some ws ->
-      if capacity ws >= n then Tsg_engine.Metrics.incr "kernel/arenas_reused"
-      else begin
-        ensure ws n;
-        Tsg_engine.Metrics.incr "kernel/arenas_created"
-      end;
-      ws
-    | None ->
-      Tsg_engine.Metrics.incr "kernel/arenas_created";
-      create n
-
-  let with_arena n f =
-    let slot = Domain.DLS.get key in
-    match slot.arena with
-    | Some ws when Mutex.try_lock ws.lock ->
-      Fun.protect
-        ~finally:(fun () ->
-          trim ws;
-          Mutex.unlock ws.lock)
-      @@ fun () ->
-      if capacity ws >= n then Tsg_engine.Metrics.incr "kernel/arenas_reused"
-      else begin
-        ensure ws n;
-        Tsg_engine.Metrics.incr "kernel/arenas_created"
-      end;
-      f ws
-    | Some _ ->
-      (* busy (nested query, or another thread of this domain): take a
-         spare rather than waiting; the [kernel/arenas_fallback]
-         counter makes this contention visible in [stats] *)
-      Tsg_engine.Metrics.incr "kernel/arenas_fallback";
-      let ws = acquire_spare slot n in
-      Fun.protect ~finally:(fun () -> put_spare slot ws) (fun () -> f ws)
-    | None ->
-      let ws = create n in
-      Mutex.lock ws.lock;
-      slot.arena <- Some ws;
-      Tsg_engine.Metrics.incr "kernel/arenas_created";
-      Fun.protect
-        ~finally:(fun () ->
-          trim ws;
-          Mutex.unlock ws.lock)
-        (fun () -> f ws)
+    let create = create
+    let capacity = capacity
+    let ensure = ensure
+    let trim = trim
+    let lock = lock
+  end)
 end
+
 
 (* ------------------------------------------------------------------ *)
 (* The fused, windowed kernel                                          *)
@@ -248,37 +268,30 @@ let lanes = 8
 module Lanes = struct
   type t = { mutable rows : rows; lock : Mutex.t }
 
-  (* released rows shrink back under this many floats (8 MiB), the
-     same per-domain bound as [Workspace.retained_capacity] *)
-  let retained_capacity = 1 lsl 20
+  let alloc n : rows = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (n * lanes)
+  let create n = { rows = alloc n; lock = Mutex.create () }
+  let capacity t = Bigarray.Array1.dim t.rows / lanes
+  let ensure t n = if capacity t < n then t.rows <- alloc n
 
-  let alloc n : rows = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
+  (* released rows are dropped above the instance bound of
+     [Workspace.retained_capacity] (16 MiB of rows): under it, a
+     domain keeps its rows from analysis to analysis.  Dropping them at
+     half that size made every gen-10k analysis (250k instances) fault
+     in fresh rows, and its parallel simulate no faster than serial *)
+  let retained_capacity = Workspace.retained_capacity
 
-  let key : t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> { rows = alloc 0; lock = Mutex.create () })
+  let trim t = if capacity t > retained_capacity then t.rows <- alloc 0
+  let lock t = t.lock
 
-  (* one arena per domain, held for a participant's whole claim loop;
-     a contended one (a sibling systhread, or a nested batch) is not
-     waited for: the caller gets private rows the GC reclaims *)
-  let with_rows len f =
-    let slot = Domain.DLS.get key in
-    if Mutex.try_lock slot.lock then
-      Fun.protect
-        ~finally:(fun () ->
-          if Bigarray.Array1.dim slot.rows > retained_capacity then slot.rows <- alloc 0;
-          Mutex.unlock slot.lock)
-      @@ fun () ->
-      if Bigarray.Array1.dim slot.rows >= len then
-        Tsg_engine.Metrics.incr "kernel/arenas_reused"
-      else begin
-        slot.rows <- alloc len;
-        Tsg_engine.Metrics.incr "kernel/arenas_created"
-      end;
-      f slot.rows
-    else begin
-      Tsg_engine.Metrics.incr "kernel/arenas_fallback";
-      f (alloc len)
-    end
+  include Per_domain (struct
+    type nonrec t = t
+
+    let create = create
+    let capacity = capacity
+    let ensure = ensure
+    let trim = trim
+    let lock = lock
+  end)
 end
 
 (* One topological pass for the (at most [lanes]) roots [ats], sorted
@@ -369,12 +382,12 @@ let view_time v i =
 
 let view_reached v i = i >= 0 && i < v.n && lane_time v i > neg_infinity
 
-let view_lane v =
-  let a = Array.create_float v.n in
+let view_blit v dst ~lane =
+  if lane < 0 || lane >= lanes || Array.length dst < v.n * lanes then
+    invalid_arg "Timing_sim.view_blit: lane out of range or destination too short";
   for i = 0 to v.n - 1 do
-    a.(i) <- lane_time v i
-  done;
-  a
+    Array.unsafe_set dst ((i * lanes) + lane) (lane_time v i)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
@@ -419,8 +432,8 @@ let simulate_initiated ?deadline ?delays u ~at =
       kernel ?deadline ?delays ws u ~roots:[ at ] ~from_pos);
   materialise ws u
 
-let simulate_many ?(deadline = Tsg_engine.Deadline.none) ?delays ?(jobs = 1) u ~roots ~f =
-  let delays = match delays with Some d -> d | None -> Unfolding.delays u in
+let simulate_many ?(deadline = Tsg_engine.Deadline.none) ?(jobs = 1) u ~roots ~f =
+  let delays = Unfolding.delays u in
   let nroots = Array.length roots in
   if nroots = 0 then [||]
   else begin
@@ -466,7 +479,7 @@ let simulate_many ?(deadline = Tsg_engine.Deadline.none) ?delays ?(jobs = 1) u ~
        healthy and reusable *)
     let results =
       Parallel.map_claims ~jobs
-        ~with_ctx:(fun k -> Lanes.with_rows (n * lanes) k)
+        ~with_ctx:(fun k -> Lanes.with_arena n (fun l -> k l.Lanes.rows))
         ~f:run batches
     in
     let out = Array.make nroots results.(0).(0) in

@@ -73,9 +73,13 @@ val view_time : view -> int -> float
 
 val view_reached : view -> int -> bool
 
-val view_lane : view -> float array
-(** A fresh copy of the whole lane: occurrence time per instance id,
-    [neg_infinity] where the root does not reach. *)
+val view_blit : view -> float array -> lane:int -> unit
+(** [view_blit v dst ~lane] copies the whole lane into another
+    lane-major table: [dst.(i * lanes + lane)] becomes the occurrence
+    time of instance [i], [neg_infinity] where the root does not
+    reach.  {!Whatif} keeps its base times in this layout.
+    @raise Invalid_argument if [lane] is not below {!lanes} or [dst]
+    holds fewer than [lanes] floats per instance. *)
 
 val simulate : ?deadline:Tsg_engine.Deadline.t -> Unfolding.t -> result
 (** The timing simulation [t] of the whole unfolding.  The topological
@@ -121,7 +125,6 @@ val lanes : int
 
 val simulate_many :
   ?deadline:Tsg_engine.Deadline.t ->
-  ?delays:float array ->
   ?jobs:int ->
   Unfolding.t ->
   roots:int array ->
@@ -138,18 +141,19 @@ val simulate_many :
     its lowest root.  A pass's times live in lane-major rows (instance
     [v] owns 8 contiguous floats, one per lane), so each in-arc is read
     once for all lanes, and the lane loop runs in registers.
-    [delays] substitutes the per-arc delays as for
-    {!simulate_initiated} (what-if re-simulates over the base
-    unfolding this way).  With
-    [jobs > 1] the [ceil(b / 8)] passes are self-scheduled over
+    With [jobs > 1] the [ceil(b / 8)] passes are self-scheduled over
     {!Parallel.map_claims}, heaviest (lowest start) first.
 
     The rows are a [Bigarray] of [8 n] floats (off the OCaml heap, so
-    they do not raise the GC's heap target), one arena per domain,
-    held for a participant's whole claim loop and dropped on release
-    if larger than 8 MiB; a contended arena (a sibling systhread, a
-    nested batch) is not waited for — the caller gets private rows
-    instead.
+    they do not raise the GC's heap target), held for a participant's
+    whole claim loop under the same per-domain policy as
+    {!Workspace.with_arena}: one arena per domain, kept from analysis
+    to analysis up to {!Workspace.retained_capacity} instances (16 MiB
+    of rows) and dropped on release above it; a contended arena (a
+    sibling systhread, a nested batch) is not waited for — the caller
+    takes one of a few per-domain spares, so daemon threads do not
+    allocate fresh rows per collision.  The [kernel/arenas_*] counters
+    cover both arenas.
 
     Per root, [simulations/initiated] counts one and
     [kernel/instances_scanned] the single-root window, as for

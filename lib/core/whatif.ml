@@ -21,9 +21,14 @@ type t = {
   base : Cycle_time.report;
   base_traces : Cycle_time.border_trace array;
   base_delays : float array;  (* per Signal-Graph arc id *)
-  (* per border index: time per instance, [neg_infinity] where the
-     root's simulation does not reach *)
-  base_times : float array array;
+  (* the border indices of each warm lane pass: sorted by their roots'
+     topological positions, [Timing_sim.lanes] to a pass *)
+  passes : int array array;
+  (* per pass, its roots' base times in lane-major rows (lane [l] of
+     instance [v] at [v * lanes + l]), [neg_infinity] where a root's
+     simulation does not reach and in the spare lanes of a short last
+     pass *)
+  base_rows : float array array;
   (* unfolding instantiations of each Signal-Graph arc, grouped by arc
      id as parallel (src instance, dst instance) arrays — the seed set
      of the dirty propagation *)
@@ -80,14 +85,27 @@ let prepare ?deadline ?periods ?(jobs = 1) g =
   let roots =
     Array.map (fun g0 -> Unfolding.instance u ~event:g0 ~period:0) border_arr
   in
-  let captures =
+  let lanes = Timing_sim.lanes in
+  let pos = Unfolding.topo_position u in
+  let order = Array.init b Fun.id in
+  Array.stable_sort (fun i j -> compare pos.(roots.(i)) pos.(roots.(j))) order;
+  let passes =
+    Array.init ((b + lanes - 1) / lanes) (fun p ->
+        Array.sub order (p * lanes) (min lanes (b - (p * lanes))))
+  in
+  let base_rows = Array.map (fun _ -> Array.make (n * lanes) neg_infinity) passes in
+  (* border event -> (pass, lane) *)
+  let slot = Array.make (Signal_graph.event_count g) (0, 0) in
+  Array.iteri
+    (fun p idxs -> Array.iteri (fun l i -> slot.(border_arr.(i)) <- (p, l)) idxs)
+    passes;
+  let base_traces =
     Timing_sim.simulate_many ~deadline ~jobs u ~roots ~f:(fun at view ->
         let g0, _ = Unfolding.event_of_instance u at in
-        ( Timing_sim.view_lane view,
-          Cycle_time.Internal.trace_of_times (Timing_sim.view_time view) u periods g0 ))
+        let p, lane = slot.(g0) in
+        Timing_sim.view_blit view base_rows.(p) ~lane;
+        Cycle_time.Internal.trace_of_times (Timing_sim.view_time view) u periods g0)
   in
-  let base_times = Array.map fst captures in
-  let base_traces = Array.map snd captures in
   let base =
     Cycle_time.Internal.finish ~deadline g u ~border ~periods
       ~traces:(Array.to_list base_traces)
@@ -120,7 +138,8 @@ let prepare ?deadline ?periods ?(jobs = 1) g =
     base;
     base_traces;
     base_delays = Array.copy (Unfolding.delays u);
-    base_times;
+    passes;
+    base_rows;
     arc_inst_srcs;
     arc_inst_dsts;
   }
@@ -258,117 +277,178 @@ let edited_graph_changes t changes =
 let edited_graph t edits = edited_graph_changes t (List.map (fun e -> Delay e) edits)
 
 (* ------------------------------------------------------------------ *)
-(* The warm kernel: incremental longest-path repair.
+(* The warm kernel: incremental longest-path repair, a lane pass at a
+   time.
 
-   For an affected root r, the base run left t_r(v) for every instance
-   v.  A delay edit can only move the times of instances downstream of
-   an edited arc instance whose source is reachable from r, so the
-   repair marks exactly those destinations dirty and relaxes in
-   topological-position order:
+   For a root r, the base run left t_r(v) for every instance v.  An
+   edit can only move the times of instances downstream of a {e seed}:
+   the destination of an edited arc instance (delay-edited, spliced or
+   dropped) whose source r reaches.  The repair marks the seeds dirty
+   and relaxes in topological-position order:
 
-     t'_r(v) = max { t'_r(s) + d'(a) | s -a-> v, s reached from r }
+     t'_r(v) = max { t'_r(s) + d'(a) | s -a-> v }
 
    Relaxing a position only ever dirties {e larger} positions (the
    unfolding is a DAG ordered by [topological_order]), so a single
    monotone scan from the smallest dirty position visits every dirty
    node exactly once, after all its predecessors — no priority queue,
-   no log factor, and the clean gaps between dirty nodes cost one
-   epoch-stamp comparison each.  The scan stops as soon as no marks
-   remain ahead, so an edit with slack touches a handful of instances,
-   not the window; and even a global change costs one kernel-like
-   sweep over the window.  Reached sets never change (topology-only),
-   and the recomputed max ranges over the same operand multiset as a
-   cold kernel run with the edited delays, so the repaired times are
-   bit-for-bit equal to a cold re-simulation. *)
+   and the clean gaps between dirty nodes cost one stamp comparison
+   each.  A node whose recomputed time equals its base time dirties
+   nothing, so the scan stops as soon as no marks remain ahead: an
+   edit with slack touches a handful of instances, not the window.
+
+   The roots of a pass share one scan: a node is dirty if it is dirty
+   in any lane, and recomputing it relaxes all [Timing_sim.lanes]
+   lanes from the same in-arc loads, as a lane pass of
+   {!Timing_sim.simulate_many} does.  A lane whose root does not reach
+   a seed recomputes its base value unchanged, so sharing costs a lane
+   nothing but the arithmetic.  Reachability is part of the value (an
+   unreached instance holds [neg_infinity], which drops out of every
+   maximum), so one scan also repairs reachability when a structural
+   edit flips it, and a root's own lane is pinned to [0.] at the root.
+   Each recomputed maximum ranges over the same operand set as a cold
+   simulation of the edited graph, so the repaired times are bit-for-bit
+   equal to it. *)
+
+(* the repair loop below is unrolled for Timing_sim's 8 lanes *)
+let () = assert (Timing_sim.lanes = 8)
 
 type scratch = {
-  s_new : float array;  (* repaired times, valid where stamped *)
-  s_stamp : int array;
+  s_rows : float array;  (* a pass's repaired rows, valid where stamped *)
+  s_stamp : int array;  (* per instance *)
+  s_dirty : int array;  (* per topological position *)
   mutable s_epoch : int;
-  s_dirty : int array;  (* dirty-this-epoch marker, per topo position *)
 }
 
 let scratch t =
   let n = Unfolding.instance_count t.u in
   {
-    s_new = Array.make n 0.;
+    s_rows = Array.make (n * Timing_sim.lanes) 0.;
     s_stamp = Array.make n 0;
-    s_epoch = 0;
     s_dirty = Array.make n 0;
+    s_epoch = 0;
   }
 
-(* is any instance of a changed arc live in root [idx]'s simulation?
-   (its destinations are then exactly the dirty seeds) *)
-let affected t ~idx changed =
-  let bt = t.base_times.(idx) in
-  List.exists
-    (fun a -> Array.exists (fun s -> bt.(s) > neg_infinity) t.arc_inst_srcs.(a))
-    changed
-
-let resim ~deadline ~budget t sc ~idx ~delays changed =
-  let u = t.u in
+(* Repairs pass [p] over [u] — the base unfolding with edited
+   [delays], or the patched one with its own — seeded at the arc
+   instances [seed_srcs.(k) -> seed_dsts.(k)].  Returns two lane
+   masks: the lanes whose root reaches a seed's source (the affected
+   roots) and the lanes where some time changed.  The repaired rows
+   stay readable through {!repaired_time} until the next repair. *)
+let repair_pass ~deadline t sc ~p u ~delays ~seed_srcs ~seed_dsts =
+  let lanes = Timing_sim.lanes in
   let topo = Unfolding.topological_order u in
   let pos = Unfolding.topo_position u in
   let in_starts, in_srcs, in_arcs = Unfolding.in_adjacency u in
   let out_starts, out_dsts, _ = Unfolding.out_adjacency u in
-  let bt = t.base_times.(idx) in
+  let bt = t.base_rows.(p) in
+  let ats = Array.map (fun i -> t.roots.(i)) t.passes.(p) in
+  let last_root = Array.fold_left max (-1) ats in
   sc.s_epoch <- sc.s_epoch + 1;
   let epoch = sc.s_epoch in
+  let nw = sc.s_rows in
   let stamp = sc.s_stamp in
-  let nw = sc.s_new in
   let dirty = sc.s_dirty in
+  let affected = ref 0 in
   let pending = ref 0 in
   let lo = ref max_int in
-  (* every dirty seed lies strictly after the root in the topological
-     order (its source is reached, so its own position is larger
-     still), hence the root's time-0 anchor is never recomputed *)
-  List.iter
-    (fun a ->
-      let ss = t.arc_inst_srcs.(a) in
-      let ds = t.arc_inst_dsts.(a) in
-      for k = 0 to Array.length ss - 1 do
-        if Array.unsafe_get bt (Array.unsafe_get ss k) > neg_infinity then begin
-          let p = Array.unsafe_get pos (Array.unsafe_get ds k) in
-          if Array.unsafe_get dirty p <> epoch then begin
-            Array.unsafe_set dirty p epoch;
-            incr pending;
-            if p < !lo then lo := p
-          end
+  Array.iteri
+    (fun k s ->
+      let b = s * lanes in
+      let reach = ref 0 in
+      for l = 0 to lanes - 1 do
+        if Array.unsafe_get bt (b + l) > neg_infinity then reach := !reach lor (1 lsl l)
+      done;
+      if !reach <> 0 then begin
+        affected := !affected lor !reach;
+        let q = pos.(seed_dsts.(k)) in
+        if dirty.(q) <> epoch then begin
+          dirty.(q) <- epoch;
+          incr pending;
+          if q < !lo then lo := q
         end
-      done)
-    changed;
-  (* relaxing position k can only mark positions > k, and the scan has
-     already consumed every mark <= k, so each dirty node is visited
-     once, after all its predecessors settled.  The indices below are
-     structurally in-bounds (CSR arrays and permutations built by
-     Unfolding over [0, n)), so the hot loop reads unchecked. *)
+      end)
+    seed_srcs;
+  (* the indices below are structurally in-bounds (CSR arrays and
+     permutations built by Unfolding over [0, n), rows of [lanes]
+     floats per instance), so the hot loop reads unchecked *)
+  let changed = ref 0 in
   let steps = ref 0 in
   let k = ref !lo in
-  while !pending > 0 && !steps <= budget do
+  while !pending > 0 do
     if !k land 8191 = 0 then Tsg_engine.Deadline.check deadline;
     (if Array.unsafe_get dirty !k = epoch then begin
        decr pending;
        incr steps;
        let v = Array.unsafe_get topo !k in
-       let nt = ref neg_infinity in
-       let j1 = Array.unsafe_get in_starts (v + 1) - 1 in
-       for j = Array.unsafe_get in_starts v to j1 do
+       let t0 = ref neg_infinity and t1 = ref neg_infinity in
+       let t2 = ref neg_infinity and t3 = ref neg_infinity in
+       let t4 = ref neg_infinity and t5 = ref neg_infinity in
+       let t6 = ref neg_infinity and t7 = ref neg_infinity in
+       for j = Array.unsafe_get in_starts v to Array.unsafe_get in_starts (v + 1) - 1 do
          let s = Array.unsafe_get in_srcs j in
-         let ts =
-           if Array.unsafe_get stamp s = epoch then Array.unsafe_get nw s
-           else Array.unsafe_get bt s
-         in
-         let d = ts +. Array.unsafe_get delays (Array.unsafe_get in_arcs j) in
-         if d > !nt then nt := d
+         let row = if Array.unsafe_get stamp s = epoch then nw else bt in
+         let o = s * lanes in
+         let dl = Array.unsafe_get delays (Array.unsafe_get in_arcs j) in
+         (* unrolled by hand, as in Timing_sim's lane pass *)
+         let d = Array.unsafe_get row o +. dl in
+         if d > !t0 then t0 := d;
+         let d = Array.unsafe_get row (o + 1) +. dl in
+         if d > !t1 then t1 := d;
+         let d = Array.unsafe_get row (o + 2) +. dl in
+         if d > !t2 then t2 := d;
+         let d = Array.unsafe_get row (o + 3) +. dl in
+         if d > !t3 then t3 := d;
+         let d = Array.unsafe_get row (o + 4) +. dl in
+         if d > !t4 then t4 := d;
+         let d = Array.unsafe_get row (o + 5) +. dl in
+         if d > !t5 then t5 := d;
+         let d = Array.unsafe_get row (o + 6) +. dl in
+         if d > !t6 then t6 := d;
+         let d = Array.unsafe_get row (o + 7) +. dl in
+         if d > !t7 then t7 := d
        done;
-       if !nt <> Array.unsafe_get bt v then begin
+       (* a root's own lane is pinned at the root (roots sit at the
+          front of the instance space, so one comparison skips this) *)
+       if v <= last_root then
+         for l = 0 to Array.length ats - 1 do
+           if Array.unsafe_get ats l = v then
+             match l with
+             | 0 -> t0 := 0.
+             | 1 -> t1 := 0.
+             | 2 -> t2 := 0.
+             | 3 -> t3 := 0.
+             | 4 -> t4 := 0.
+             | 5 -> t5 := 0.
+             | 6 -> t6 := 0.
+             | _ -> t7 := 0.
+         done;
+       let b = v * lanes in
+       let diff =
+         Bool.to_int (!t0 <> Array.unsafe_get bt b)
+         lor Bool.to_int (!t1 <> Array.unsafe_get bt (b + 1)) lsl 1
+         lor Bool.to_int (!t2 <> Array.unsafe_get bt (b + 2)) lsl 2
+         lor Bool.to_int (!t3 <> Array.unsafe_get bt (b + 3)) lsl 3
+         lor Bool.to_int (!t4 <> Array.unsafe_get bt (b + 4)) lsl 4
+         lor Bool.to_int (!t5 <> Array.unsafe_get bt (b + 5)) lsl 5
+         lor Bool.to_int (!t6 <> Array.unsafe_get bt (b + 6)) lsl 6
+         lor Bool.to_int (!t7 <> Array.unsafe_get bt (b + 7)) lsl 7
+       in
+       if diff <> 0 then begin
+         changed := !changed lor diff;
+         Array.unsafe_set nw b !t0;
+         Array.unsafe_set nw (b + 1) !t1;
+         Array.unsafe_set nw (b + 2) !t2;
+         Array.unsafe_set nw (b + 3) !t3;
+         Array.unsafe_set nw (b + 4) !t4;
+         Array.unsafe_set nw (b + 5) !t5;
+         Array.unsafe_set nw (b + 6) !t6;
+         Array.unsafe_set nw (b + 7) !t7;
          Array.unsafe_set stamp v epoch;
-         Array.unsafe_set nw v !nt;
-         let j1 = Array.unsafe_get out_starts (v + 1) - 1 in
-         for j = Array.unsafe_get out_starts v to j1 do
-           let p = Array.unsafe_get pos (Array.unsafe_get out_dsts j) in
-           if Array.unsafe_get dirty p <> epoch then begin
-             Array.unsafe_set dirty p epoch;
+         for j = Array.unsafe_get out_starts v to Array.unsafe_get out_starts (v + 1) - 1 do
+           let q = Array.unsafe_get pos (Array.unsafe_get out_dsts j) in
+           if Array.unsafe_get dirty q <> epoch then begin
+             Array.unsafe_set dirty q epoch;
              incr pending
            end
          done
@@ -377,105 +457,39 @@ let resim ~deadline ~budget t sc ~idx ~delays changed =
     incr k
   done;
   Tsg_engine.Metrics.incr ~by:!steps "whatif/instances_repaired";
-  !steps <= budget
+  (!affected, !changed)
 
-(* ------------------------------------------------------------------ *)
-(* The structural warm kernel.
+(* lane [l]'s time of instance [v] after the last [repair_pass] of
+   pass [p] *)
+let repaired_time t sc ~p ~l v =
+  let i = (v * Timing_sim.lanes) + l in
+  if sc.s_stamp.(v) = sc.s_epoch then sc.s_rows.(i) else t.base_rows.(p).(i)
 
-   A structural edit changes the unfolding's arcs but not its instance
-   ids ({!Unfolding.patch}), so the base run's per-root times and
-   reachability remain a valid {e starting point}: only instances
-   downstream of a spliced, dropped or delay-edited arc instance can
-   move.  The repair is the same monotone position scan as the delay
-   kernel, over the {e patched} dag's CSR views and topological order,
-   with one extension: reachability can now flip in both directions,
-   so the scan recomputes (reached, time) jointly — one value, since
-   an unreached instance holds [neg_infinity].  [reported] maps that
-   to the [0.] a cold simulation's view reports for unreached
-   instances, so the repaired tables serialise identically to a cold
-   run of the edited graph. *)
-
-(* does root [idx]'s base simulation reach the source of any seed arc
-   instance?  If not, nothing in its table can move and the base trace
-   is reused verbatim.  (A dropped arc whose source was unreached
-   contributed nothing before and nothing after; a spliced arc whose
-   source is unreached stays dormant — its source's own reachability
-   is root-independent of the arcs leaving it.) *)
-let structural_affected t ~idx seeds =
-  let bt = t.base_times.(idx) in
-  Array.exists (fun (s, _) -> bt.(s) > neg_infinity) seeds
-
-let resim_structural ~deadline ~budget t sc ~idx u' ~seeds =
-  let topo = Unfolding.topological_order u' in
-  let pos = Unfolding.topo_position u' in
-  let in_starts, in_srcs, in_arcs = Unfolding.in_adjacency u' in
-  let out_starts, out_dsts, _ = Unfolding.out_adjacency u' in
-  let delays = Unfolding.delays u' in
-  let bt = t.base_times.(idx) in
-  let root = t.roots.(idx) in
-  sc.s_epoch <- sc.s_epoch + 1;
-  let epoch = sc.s_epoch in
-  let stamp = sc.s_stamp in
-  let nw = sc.s_new in
-  let dirty = sc.s_dirty in
-  let pending = ref 0 in
-  let lo = ref max_int in
-  (* seeds: destinations of every spliced, dropped or delay-edited arc
-     instance whose source the base run reached.  The root's time-0
-     anchor is never recomputed (a root is reached by fiat, and its
-     in-arcs never matter), so a seed landing on it is skipped. *)
-  Array.iter
-    (fun (s, d) ->
-      if d <> root && Array.unsafe_get bt s > neg_infinity then begin
-        let p = Array.unsafe_get pos d in
-        if Array.unsafe_get dirty p <> epoch then begin
-          Array.unsafe_set dirty p epoch;
-          incr pending;
-          if p < !lo then lo := p
-        end
-      end)
-    seeds;
-  let steps = ref 0 in
-  let k = ref !lo in
-  while !pending > 0 && !steps <= budget do
-    if !k land 8191 = 0 then Tsg_engine.Deadline.check deadline;
-    (if Array.unsafe_get dirty !k = epoch then begin
-       decr pending;
-       incr steps;
-       let v = Array.unsafe_get topo !k in
-       if v <> root then begin
-         (* unreached sources hold [neg_infinity] and drop out of the
-            maximum, so [nt] stays [neg_infinity] exactly when [v]
-            becomes unreached *)
-         let nt = ref neg_infinity in
-         let j1 = Array.unsafe_get in_starts (v + 1) - 1 in
-         for j = Array.unsafe_get in_starts v to j1 do
-           let s = Array.unsafe_get in_srcs j in
-           let ts =
-             if Array.unsafe_get stamp s = epoch then Array.unsafe_get nw s
-             else Array.unsafe_get bt s
-           in
-           let d = ts +. Array.unsafe_get delays (Array.unsafe_get in_arcs j) in
-           if d > !nt then nt := d
-         done;
-         if !nt <> Array.unsafe_get bt v then begin
-           Array.unsafe_set stamp v epoch;
-           Array.unsafe_set nw v !nt;
-           let j1 = Array.unsafe_get out_starts (v + 1) - 1 in
-           for j = Array.unsafe_get out_starts v to j1 do
-             let p = Array.unsafe_get pos (Array.unsafe_get out_dsts j) in
-             if Array.unsafe_get dirty p <> epoch then begin
-               Array.unsafe_set dirty p epoch;
-               incr pending
-             end
-           done
-         end
-       end
-     end);
-    incr k
-  done;
-  Tsg_engine.Metrics.incr ~by:!steps "whatif/instances_repaired";
-  !steps <= budget
+(* every pass repaired in turn; a root keeps its base Delta table
+   unless its lane changed *)
+let warm_traces ~deadline t sc u ~delays ~seed_srcs ~seed_dsts =
+  let traces = Array.copy t.base_traces in
+  let resimulated = ref 0 in
+  Array.iteri
+    (fun p idxs ->
+      let affected, changed =
+        repair_pass ~deadline t sc ~p u ~delays ~seed_srcs ~seed_dsts
+      in
+      Array.iteri
+        (fun l i ->
+          if affected land (1 lsl l) <> 0 then incr resimulated;
+          if changed land (1 lsl l) <> 0 then
+            traces.(i) <-
+              Cycle_time.Internal.trace_of_times
+                (fun v -> reported (repaired_time t sc ~p ~l v))
+                u t.periods t.border_arr.(i))
+        idxs)
+    t.passes;
+  let resimulated = !resimulated in
+  let reused = Array.length t.roots - resimulated in
+  Tsg_engine.Metrics.incr ~by:reused "whatif/reused";
+  Tsg_engine.Metrics.incr ~by:resimulated "whatif/resimulated";
+  (Array.to_list traces, { reused; resimulated; path = Warm })
 
 (* ------------------------------------------------------------------ *)
 (* Re-analysis                                                         *)
@@ -487,76 +501,19 @@ let short_circuit t =
   (t.base, { reused = b; resimulated = 0; path = Short_circuit })
 
 (* a full cold analysis of the edited graph: the fallback whenever the
-   warm kernels cannot (or are told not to) answer *)
+   warm kernel cannot (or is told not to) answer *)
 let cold ~deadline t g' =
   let report = Cycle_time.analyze ~deadline ~periods:t.periods g' in
   (report, { reused = 0; resimulated = Array.length t.border_arr; path = Cold })
 
-(* The affected roots' new Delta tables.  A repair costs about one
-   relaxation per dirty instance; a lane pass one per instance of its
-   window, shared by [Timing_sim.lanes] roots.  So each affected root
-   is repaired with a budget of [1 / lanes] of its window; the first
-   repair to overrun it is abandoned, and that root and every later
-   affected one are re-simulated in lane passes over [u] (with
-   [delays] when the edit left [u]'s structure alone).  One edit
-   casts much the same cone below every root, so the first large cone
-   decides.  [repair i ~budget] repairs border index [i] and returns
-   its trace, or [None] past [budget] dirty instances. *)
-let affected_traces ~deadline t u ?delays ~affected ~repair () =
-  let n = Unfolding.instance_count u in
-  let pos = Unfolding.topo_position u in
-  let traces = Array.copy t.base_traces in
-  let resimulated = ref 0 in
-  let lane_idx = ref [] in
-  Array.iteri
-    (fun i root ->
-      Tsg_engine.Deadline.check deadline;
-      if affected i then begin
-        incr resimulated;
-        let repaired =
-          if !lane_idx <> [] then None
-          else repair i ~budget:((n - pos.(root)) / Timing_sim.lanes)
-        in
-        match repaired with
-        | Some trace -> traces.(i) <- trace
-        | None -> lane_idx := i :: !lane_idx
-      end)
-    t.roots;
-  (match Array.of_list (List.rev !lane_idx) with
-  | [||] -> ()
-  | lane_idx ->
-    Tsg_engine.Metrics.incr ~by:(Array.length lane_idx) "whatif/lane_resimulated";
-    let fresh =
-      Timing_sim.simulate_many ~deadline ?delays u
-        ~roots:(Array.map (fun i -> t.roots.(i)) lane_idx)
-        ~f:(fun at view ->
-          let g0, _ = Unfolding.event_of_instance u at in
-          Cycle_time.Internal.trace_of_times (Timing_sim.view_time view) u t.periods g0)
-    in
-    Array.iteri (fun k i -> traces.(i) <- fresh.(k)) lane_idx);
-  let resimulated = !resimulated in
-  let reused = Array.length t.roots - resimulated in
-  Tsg_engine.Metrics.incr ~by:reused "whatif/reused";
-  Tsg_engine.Metrics.incr ~by:resimulated "whatif/resimulated";
-  (Array.to_list traces, { reused; resimulated; path = Warm })
-
-(* the repaired times of root [idx]: the scratch where this epoch
-   stamped them, the base run elsewhere *)
-let repaired_trace sc t u idx =
-  let epoch = sc.s_epoch in
-  let bt = t.base_times.(idx) in
-  let time_of v = reported (if sc.s_stamp.(v) = epoch then sc.s_new.(v) else bt.(v)) in
-  Cycle_time.Internal.trace_of_times time_of u t.periods t.border_arr.(idx)
-
+(* A delay edit keeps the base unfolding: the seeds are every instance
+   of a changed arc. *)
 let warm_delay ~deadline sc t ~delays ~changed g' =
+  let seeds f = Array.concat (List.map f changed) in
   let traces, stats =
-    affected_traces ~deadline t t.u ~delays
-      ~affected:(fun i -> affected t ~idx:i changed)
-      ~repair:(fun i ~budget ->
-        if resim ~deadline ~budget t sc ~idx:i ~delays changed then
-          Some (repaired_trace sc t t.u i)
-        else None)
-      ()
+    warm_traces ~deadline t sc t.u ~delays
+      ~seed_srcs:(seeds (fun a -> t.arc_inst_srcs.(a)))
+      ~seed_dsts:(seeds (fun a -> t.arc_inst_dsts.(a)))
   in
   let report =
     Cycle_time.Internal.finish ~deadline ~delays g' t.u ~border:t.border
@@ -564,29 +521,25 @@ let warm_delay ~deadline sc t ~delays ~changed g' =
   in
   (report, stats)
 
+(* A structural edit changes the unfolding's arcs but not its instance
+   ids ({!Unfolding.patch}), so the base rows remain a valid starting
+   point over the patched unfolding: the seeds are its spliced and
+   dropped arc instances plus every instance of a surviving arc whose
+   delay changed (read from the base grouping). *)
 let warm_structural ~deadline sc t ~arc_map ~changed_delays g' =
   let u', delta = Unfolding.patch ~deadline t.u g' ~arc_map in
   let sp = delta.Unfolding.pd_spliced and dr = delta.Unfolding.pd_dropped in
   Tsg_engine.Metrics.incr ~by:(Array.length sp) "whatif/instances_spliced";
   Tsg_engine.Metrics.incr ~by:(Array.length dr) "whatif/instances_dropped";
-  (* delay edits on surviving arcs join the seed set: their instance
-     pairs are read from the base grouping (instance ids are stable) *)
-  let delay_seeds =
-    List.concat_map
-      (fun a ->
-        let ss = t.arc_inst_srcs.(a) and ds = t.arc_inst_dsts.(a) in
-        Array.to_list (Array.map2 (fun s d -> (s, d)) ss ds))
-      changed_delays
+  let seeds pick grouped =
+    Array.concat
+      (Array.map pick sp :: Array.map pick dr :: List.map grouped changed_delays)
   in
-  let seeds = Array.concat [ sp; dr; Array.of_list delay_seeds ] in
+  let delays = Unfolding.delays u' in
   let traces, stats =
-    affected_traces ~deadline t u'
-      ~affected:(fun i -> structural_affected t ~idx:i seeds)
-      ~repair:(fun i ~budget ->
-        if resim_structural ~deadline ~budget t sc ~idx:i u' ~seeds then
-          Some (repaired_trace sc t u' i)
-        else None)
-      ()
+    warm_traces ~deadline t sc u' ~delays
+      ~seed_srcs:(seeds fst (fun a -> t.arc_inst_srcs.(a)))
+      ~seed_dsts:(seeds snd (fun a -> t.arc_inst_dsts.(a)))
   in
   Tsg_engine.Metrics.incr "whatif/structural_warm";
   (* no [~delays] override: [u'] carries the edited graph natively *)

@@ -15,16 +15,13 @@
     - an affected root is {e repaired}, not re-simulated: a dirty
       propagation seeded at the edited arc's instances relaxes, in
       topological order, only the instances whose occurrence time
-      actually changes ([whatif/resimulated] roots,
-      [whatif/instances_repaired] instances);
-    - a repair runs on a budget of [1 / Timing_sim.lanes] of its
-      root's window: the first one to overrun it (a near-global cone,
-      which one edit casts below every root alike) is abandoned, and
-      that root and the remaining affected ones are re-simulated in
-      lane passes instead ({!Timing_sim.simulate_many} over the base
-      unfolding with the edited delays, or over the patched one;
-      [whatif/lane_resimulated]) — a lane pass relaxes 8 roots per
-      scan, cheaper than 8 near-global repairs;
+      actually changes ([whatif/resimulated] roots);
+    - the roots are repaired 8 at a time, as the lanes of one scan
+      (the lane layout of {!Timing_sim.simulate_many}): an instance
+      dirty in any lane is recomputed for all of them from the same
+      in-arc loads ([whatif/instances_repaired] counts those
+      recomputations, once per pass), and a root whose lane did not
+      move keeps its base Delta table;
     - an edit that folds back onto the base graph (zero net delta, or
       a {!Signal_graph.digest} match) short-circuits to the base
       report ([whatif/short_circuits]).
@@ -84,8 +81,10 @@ type stats = {
 type t
 (** A prepared base: graph, unfolding, base report, and the per-root
     occurrence-time tables retained from the base simulations, which
-    also record reachability (b arrays of n floats — for very large
-    unfoldings, budget roughly [8 * b * instance_count] bytes). *)
+    also record reachability.  They are kept lane-major, 8 roots to a
+    table, as the repair reads them: [ceil(b / 8) * 8] floats per
+    instance — for very large unfoldings, budget roughly
+    [64 * ceil(b / 8) * instance_count] bytes. *)
 
 val prepare :
   ?deadline:Tsg_engine.Deadline.t -> ?periods:int -> ?jobs:int -> Signal_graph.t -> t
@@ -122,7 +121,8 @@ val edited_graph_changes : t -> change list -> Signal_graph.t
 
 type scratch
 (** Reusable per-participant working memory for the dirty propagation
-    (never shared between concurrent re-analyses). *)
+    (8 floats and 2 ints per instance; never shared between concurrent
+    re-analyses). *)
 
 val scratch : t -> scratch
 

@@ -232,7 +232,10 @@ let simulate_many_matches_initiated g =
                 ( at,
                   Array.init n (Timing_sim.view_time view),
                   Array.init n (Timing_sim.view_reached view),
-                  Timing_sim.view_lane view ))
+                  let table = Array.make (n * Timing_sim.lanes) nan in
+                  let lane = Timing_sim.lanes - 1 in
+                  Timing_sim.view_blit view table ~lane;
+                  Array.init n (fun v -> table.((v * Timing_sim.lanes) + lane)) ))
           in
           let label what = Printf.sprintf "%s: %s at jobs %d" set what jobs in
           Alcotest.(check int)

@@ -449,6 +449,63 @@ let test_failpoint_falls_back_to_cold () =
     (render g' cold_report)
 
 (* ------------------------------------------------------------------ *)
+(* Lane repair                                                         *)
+
+(* A warm re-analysis repairs the border roots 8 lanes to a pass.  On a
+   gen-dense model (b = 93: 12 passes, the last one short) three kinds
+   of edit must all come out byte-identical to cold: a structural edit
+   with slack everywhere (every root affected, no lane moves: the
+   repair recomputes little more than the seeds), a delay edit that
+   moves some roots' tables and not others (moved lanes get fresh
+   tables, the rest keep their base tables), and a backbone delay that
+   moves every lane of every pass (the repair covers whole windows). *)
+let test_lane_repair_matches_cold () =
+  let g = Tsg_circuit.Generators.random_live_tsg ~seed:7 ~events:120 ~extra_arcs:240 () in
+  let base = Whatif.prepare g in
+  let events = Signal_graph.event_count g in
+  let arcs = Signal_graph.arcs g in
+  let b = List.length (Whatif.border base) in
+  let window =
+    Unfolding.instance_count (Unfolding.make g ~periods:(Whatif.periods base + 1))
+  in
+  Alcotest.(check bool) "more than two passes" true (b > 2 * Timing_sim.lanes);
+  let base_traces = (Whatif.base_report base).Cycle_time.traces in
+  (* (stats, roots whose table moved, whatif/instances_repaired) *)
+  let run changes =
+    Tsg_engine.Metrics.reset ();
+    let report, stats = Whatif.reanalyze_changes base changes in
+    let moved = List.filter Fun.id (List.map2 ( <> ) base_traces report.Cycle_time.traces) in
+    (report, stats, List.length moved, Tsg_engine.Metrics.count "whatif/instances_repaired")
+  in
+  let pick what pred candidates =
+    match List.find_opt (fun c -> pred (run c)) candidates with
+    | None -> Alcotest.failf "%s: no such scenario in this model" what
+    | Some changes ->
+      let report, stats, moved, repaired = run changes in
+      let g', cold = cold_render_changes base changes in
+      Alcotest.(check string) (what ^ ": bytes") cold (render g' report);
+      Alcotest.(check bool) (what ^ ": warm path") true (stats.Whatif.path = Whatif.Warm);
+      (stats, moved, repaired)
+  in
+  let chords =
+    List.filter
+      (fun i -> not arcs.(i).Signal_graph.marked)
+      (List.init (Array.length arcs - events) (fun i -> events + i))
+  in
+  let delays delta = List.init (Array.length arcs) (fun a -> [ Whatif.Delay { arc = a; delta } ]) in
+  let _, _, repaired =
+    pick "slack"
+      (fun (_, st, moved, _) -> st.Whatif.resimulated = b && moved = 0)
+      (List.map (fun c -> [ Whatif.Remove_arc c ]) chords)
+  in
+  Alcotest.(check bool) "slack: repaired the seeds" true (repaired > 0);
+  Alcotest.(check bool) "slack: less than one window in all" true (repaired < window);
+  ignore
+    (pick "partial" (fun (_, _, moved, _) -> moved > 0 && moved < b) (delays 1.5));
+  let _, _, repaired = pick "global" (fun (_, _, moved, _) -> moved = b) (delays 1.5) in
+  Alcotest.(check bool) "global: more than one window in all" true (repaired > window)
+
+(* ------------------------------------------------------------------ *)
 (* Reuse accounting                                                    *)
 
 let test_metrics_accounting () =
@@ -483,6 +540,8 @@ let suite =
     Alcotest.test_case "failpoint falls back to cold" `Quick
       test_failpoint_falls_back_to_cold;
     Alcotest.test_case "metrics accounting" `Quick test_metrics_accounting;
+    Alcotest.test_case "lane repair: slack, partial, global = cold (bytes)" `Quick
+      test_lane_repair_matches_cold;
     Alcotest.test_case "structural: remove arc = cold (bytes)" `Quick
       test_remove_arc_matches_cold;
     Alcotest.test_case "structural: add arc = cold (bytes)" `Quick
