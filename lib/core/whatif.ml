@@ -472,6 +472,7 @@ let warm_traces ~deadline t sc u ~delays ~seed_srcs ~seed_dsts =
   let resimulated = ref 0 in
   Array.iteri
     (fun p idxs ->
+      Tsg_engine.Deadline.check deadline;
       let affected, changed =
         repair_pass ~deadline t sc ~p u ~delays ~seed_srcs ~seed_dsts
       in
